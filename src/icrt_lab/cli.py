@@ -31,7 +31,7 @@ class Config:
 
     theta: Theta | None = None
     uniform: bool = False
-    n: int = 1000
+    n: int | None = 1000
     leaves: int = 2
     grid: int = DEFAULT_GRID
     seed: int = 0
@@ -40,6 +40,12 @@ class Config:
     construction: str = "breadth"
     suite: str | None = None
     threads: int = 1
+
+    def __post_init__(self):
+        if self.n is not None and self.n < 1:
+            raise ValueError(f"--n must be >= 1, got {self.n}")
+        if self.samples is not None and self.samples < 1:
+            raise ValueError(f"--samples must be >= 1, got {self.samples}")
 
     def describe(self) -> dict:
         d = asdict(self)
@@ -148,6 +154,10 @@ def cmd_verify(args) -> int:
         threads = _threads_from_env()
     except SystemExit as e:
         return int(e.code)
+    try:
+        Config(n=args.n, samples=args.samples)  # validates the counts
+    except ValueError as e:
+        return _usage_error(str(e))
     kwargs = {"seed": args.seed}
     opt = {
         "identities": {"n": args.n, "reps": args.samples},

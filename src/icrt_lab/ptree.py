@@ -11,6 +11,7 @@ relations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,19 +177,22 @@ def sample_positions(n: int, rng: RngState) -> np.ndarray:
     raise DuplicatePositionError("could not sample distinct positions")
 
 
-def _relocate(p: PSeq, x) -> tuple[int, np.ndarray]:
-    """Minimizing particle and positions relocated to start there.
+def _relocate(p: PSeq, x) -> tuple[int, np.ndarray, np.ndarray]:
+    """Minimizing particle, positions relocated to start there, and the
+    relocated positions' sort order.
 
     The walk attains its infimum as a left limit at a unique particle;
-    ties within 1e-12 raise TieError.
+    ties within 1e-12 raise TieError.  Relocation is a rotation of the
+    circle, so the sort order of the relocated positions is the sort order
+    of x rotated to start at the minimizer.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != p.n:
         raise ValueError("positions must match the probability vector length")
-    if np.unique(x).size != x.size:
-        raise DuplicatePositionError("particle positions must be distinct")
     order = np.argsort(x)
     x_sorted = x[order]
+    if (x_sorted[1:] == x_sorted[:-1]).any():
+        raise DuplicatePositionError("particle positions must be distinct")
     cum_before = np.concatenate([[0.0], np.cumsum(p.probs[order])[:-1]])
     pre_min = cum_before - x_sorted  # left limits at each particle
     k = int(np.argmin(pre_min))
@@ -199,9 +203,14 @@ def _relocate(p: PSeq, x) -> tuple[int, np.ndarray]:
     v1 = int(order[k])
     shifted = np.mod(x - x[v1], 1.0)
     shifted[v1] = 0.0
-    if np.unique(shifted).size != shifted.size:
+    pos_order = np.concatenate([order[k:], order[:k]])
+    # The rotated order is sorted up to ties: the subtraction and the
+    # wrap-around add round monotonically, and a wrapped value is at least
+    # 1 - x[v1], which no unwrapped value exceeds.
+    xs_sorted = shifted[pos_order]
+    if (xs_sorted[1:] == xs_sorted[:-1]).any():
         raise DuplicatePositionError("positions collide after relocation")
-    return v1, shifted
+    return v1, shifted, pos_order
 
 
 def particle_bridge(p: PSeq, x) -> CadlagPath:
@@ -232,8 +241,7 @@ def particle_excursion(p: PSeq, x) -> tuple[CadlagPath, int, np.ndarray]:
     nonnegative, jumps by p_i at each relocated position (the minimizer's
     jump sits at time 0), and ends at exactly 0.
     """
-    v1, xs = _relocate(p, x)
-    order = np.argsort(xs)
+    v1, xs, order = _relocate(p, x)
     xs_sorted = xs[order]
     ps = p.probs[order]
     inner_left = np.concatenate([[0.0], np.cumsum(ps)[:-1]]) - xs_sorted
@@ -296,9 +304,8 @@ def _group_children(n: int, order: np.ndarray, rank: np.ndarray) -> list:
 def breadth_tree(p: PSeq, x) -> RootedTree:
     """Tree read in position order: particle j's children are the particles
     whose relocated positions fall in its cumulative-weight interval."""
-    v1, xs = _relocate(p, x)
+    v1, xs, order = _relocate(p, x)
     n = p.n
-    order = np.argsort(xs)
     y = np.concatenate([[0.0], np.cumsum(p.probs[order])])
     y[-1] = 1.0
     q = xs[order[1:]]
@@ -311,47 +318,76 @@ def breadth_tree(p: PSeq, x) -> RootedTree:
                       positions=xs, visit_cum=y, kind="breadth")
 
 
+def _examination_ranks(xs_sorted: np.ndarray, w_sorted: np.ndarray) -> np.ndarray:
+    """Position ranks in depth-first examination order, from the sorted
+    relocated positions and their weights; rank 0 is the root.
+
+    Stops early, returning fewer than n ranks, when the examination
+    intervals miss a particle.  Every particle is claimed before it is
+    examined, so the last vertex examined claims nothing and the cursor
+    needs no clamp to 1 here.  The lists of n Python floats the pass reads
+    are freed on return, before depth_tree builds its n children views.
+    """
+    xl = xs_sorted.tolist()
+    wl = w_sorted.tolist()
+    ranks = []
+    stack = []  # (next rank, end) runs of claimed, unexamined children
+    a, j, cursor = 0, 1, 0.0
+    while True:
+        ranks.append(a)
+        cursor += wl[a]
+        k = bisect_right(xl, cursor, j)
+        if k > j:
+            a = j
+            if k > j + 1:
+                stack.append((j + 1, k))
+            j = k
+        elif stack:
+            a, k = stack.pop()
+            if a + 1 < k:
+                stack.append((a + 1, k))
+        else:
+            break
+    return np.array(ranks)
+
+
 def depth_tree(p: PSeq, x) -> RootedTree:
     """Tree read in examination order: each examined vertex's interval of
     length p_v recruits its children; examination proceeds to the first
-    unexamined child, backtracking when none remain."""
-    v1, xs = _relocate(p, x)
+    unexamined child, backtracking when none remain.
+
+    Reads only the weights and the positions, never the walk, so the
+    identities checked against the walk are two-sided.  The examination
+    cursor only moves right, so the children of each examined vertex are
+    the next run of particles in position order: after the sort, one
+    forward pass over the positions builds the tree in linear time.
+    """
+    v1, xs, pos_order = _relocate(p, x)
     n = p.n
-    pos_order = np.argsort(xs)
     xs_sorted = xs[pos_order]
-    probs = p.probs
-    parent = np.full(n, -1, dtype=np.int64)
-    children: list = [None] * n
-    e_times = np.zeros(n)
-    w_order = np.empty(n, dtype=np.int64)
-    state = {"cursor": 0.0, "examined": 0}
-
-    def examine(v: int) -> np.ndarray:
-        cursor = state["cursor"]
-        w_order[state["examined"]] = v
-        state["examined"] += 1
-        hi = 1.0 if state["examined"] == n else cursor + probs[v]
-        i0 = np.searchsorted(xs_sorted, cursor, side="right")
-        i1 = np.searchsorted(xs_sorted, hi, side="right")
-        kids = pos_order[i0:i1]
-        children[v] = kids
-        parent[kids] = v
-        state["cursor"] = hi
-        e_times[v] = min(hi, 1.0)
-        return kids
-
-    stack = [(v1, examine(v1), 0)]
-    while stack:
-        v, kids, i = stack.pop()
-        if i < kids.size:
-            stack.append((v, kids, i + 1))
-            w = int(kids[i])
-            stack.append((w, examine(w), 0))
-    if state["examined"] != n:
+    w_sorted = p.probs[pos_order]
+    ranks = _examination_ranks(xs_sorted, w_sorted)
+    if ranks.size != n:
         raise DegenerateError("examination intervals missed a particle")
-    visit_cum = np.concatenate([[0.0], e_times[w_order]])
-    return RootedTree(n=n, root=v1, parent=parent, order=w_order,
-                      positions=xs, visit_cum=visit_cum,
+    order = pos_order[ranks]
+    # cumsum adds in examination order, exactly as the pass moved the cursor.
+    ends = np.cumsum(w_sorted[ranks])
+    ends[-1] = 1.0
+    e_in_order = np.minimum(ends, 1.0)
+    e_times = np.empty(n)
+    e_times[order] = e_in_order
+    # Examined vertex i claims ranks starts[i] up to, not including, claimed[i].
+    claimed = np.searchsorted(xs_sorted, ends, side="right")
+    starts = np.concatenate([[1], claimed[:-1]])
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[pos_order[1:]] = np.repeat(order, claimed - starts)
+    children: list = [None] * n
+    # memoryview yields the indices one at a time; tolist() would hold
+    # three lists of n Python ints at once, on top of the n views.
+    for v, i0, i1 in zip(memoryview(order), memoryview(starts), memoryview(claimed)):
+        children[v] = pos_order[i0:i1]
+    return RootedTree(n=n, root=v1, parent=parent, order=order,
+                      positions=xs, visit_cum=np.concatenate([[0.0], e_in_order]),
                       kind="depth", e_times=e_times, children_data=children)
 
 

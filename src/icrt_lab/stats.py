@@ -39,6 +39,10 @@ class TestReport:
     seed: int | None = None
     extra: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # A check that saw no samples has shown nothing, so it cannot pass.
+        self.passed = bool(self.passed and self.n_samples > 0)
+
     def to_json(self) -> str:
         obj = {
             "suite": self.suite,
@@ -49,7 +53,14 @@ class TestReport:
             "seed": self.seed,
         }
         obj.update(self.extra)
-        return json.dumps(obj)
+        return json.dumps(obj, default=_json_scalar)
+
+
+def _json_scalar(obj):
+    """JSON hook for numpy scalars, which json cannot encode itself."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def kolmogorov_sf(t: float, terms: int = KS_SERIES_TERMS) -> float:

@@ -103,12 +103,13 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0,
     for name, vals in errs.items():
         worst = _amax(vals)
         ok = worst <= tol
-        all_ok &= ok
-        reports.append(TestReport(suite=f"identities/{name}", statistic=worst,
-                                  p_value=1.0 if ok else 0.0, passed=ok,
-                                  n_samples=len(vals), seed=seed,
-                                  extra={"tol": tol, "n": n,
-                                         "hypothesis_skips": hypothesis_skips if name == "corrected" else 0}))
+        rep = TestReport(suite=f"identities/{name}", statistic=worst,
+                         p_value=1.0 if ok else 0.0, passed=ok,
+                         n_samples=len(vals), seed=seed,
+                         extra={"tol": tol, "n": n,
+                                "hypothesis_skips": hypothesis_skips if name == "corrected" else 0})
+        all_ok &= rep.passed
+        reports.append(rep)
     return reports, all_ok
 
 
@@ -361,7 +362,7 @@ def suite_pkey(ns=(1000, 10_000, 100_000), reps: int = 200, seed: int = 0):
                      statistic=max(medians[i + 1] / medians[i] for i in range(len(medians) - 1)),
                      p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps, seed=seed,
                      extra={"ns": list(ns), "medians": medians})
-    return [rep], ok
+    return [rep], rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0,
     rep = TestReport(suite="unifconv/coupling", statistic=float(worst_excess),
                      p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps,
                      seed=seed, extra={"monotonicity_failures": mono_fail, "tol": tol})
-    return [rep], ok
+    return [rep], rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +451,7 @@ def suite_y_oracle(reps: int = 100, grid: int = 2 ** 12, seed: int = 0,
     rep = TestReport(suite="y-oracle", statistic=worst, p_value=1.0 if ok else 0.0,
                      passed=ok, n_samples=reps * grid_points, seed=seed,
                      extra={"tol": tol})
-    return [rep], ok
+    return [rep], rep.passed
 
 
 SUITES = {

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from icrt_lab.cli import main
+from icrt_lab.verify import SUITES
 
 
 def run_cli(args, tmp_path=None):
@@ -54,6 +55,13 @@ class TestSample:
         assert lines[1] == "vertex,parent"
         assert len(lines) == 12
 
+    def test_bad_n_exits_2(self, capsys):
+        rc = run_cli(["sample", "ptree", "--uniform", "--n", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--n must be >= 1" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_sample_icrt_json(self, tmp_path):
         out = tmp_path / "t.json"
         rc = run_cli(["sample", "icrt", "--theta", "1.0", "--J", "3",
@@ -79,6 +87,29 @@ class TestVerify:
 
     def test_identities_small(self):
         assert run_cli(["verify", "identities", "--n", "60", "--samples", "6"]) == 0
+
+    @pytest.mark.parametrize("suite", ["identities", "pkey"])
+    def test_zero_samples_exit_2(self, suite, capsys):
+        rc = run_cli(["verify", suite, "--n", "20", "--samples", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--samples must be >= 1" in err and "PASS" not in err
+
+    def test_zero_sample_checks_fail(self):
+        reports, ok = SUITES["identities"](n=20, reps=0)
+        assert not ok
+        assert all(r.n_samples == 0 and not r.passed for r in reports)
+
+    def test_jeulin_report_is_json(self, tmp_path):
+        out = tmp_path / "rep.jsonl"
+        res = subprocess.run(
+            [sys.executable, "-m", "icrt_lab.cli", "verify", "jeulin", "--grid", "256",
+             "--samples", "50", "--out", str(out)],
+            capture_output=True, text=True)
+        assert res.returncode in (0, 1), res.stderr
+        assert "Traceback" not in res.stderr
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert rows and all(isinstance(r["pass"], bool) for r in rows)
 
     def test_threads_env_validated(self, monkeypatch, capsys):
         monkeypatch.setenv("ICRT_LAB_THREADS", "zebra")

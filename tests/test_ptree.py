@@ -33,6 +33,44 @@ from icrt_lab.ptree import (
 )
 from icrt_lab.rng import RngState
 from icrt_lab.stats import chi_square_gof, ks_two_sample
+from icrt_lab.verify import REFERENCE_THETA
+
+
+def reference_depth_tree(p, x):
+    """Per-vertex construction of the depth-first tree: two searchsorted
+    calls per examined vertex over the separately sorted relocated
+    positions.  Test-only oracle for ptree.depth_tree."""
+    _, v1, xs = particle_excursion(p, x)
+    n = p.n
+    pos_order = np.argsort(xs)
+    xs_sorted = xs[pos_order]
+    parent = np.full(n, -1, dtype=np.int64)
+    children = [None] * n
+    e_times = np.zeros(n)
+    order = []
+    cursor = 0.0
+
+    def examine(v):
+        nonlocal cursor
+        order.append(v)
+        hi = 1.0 if len(order) == n else cursor + p.probs[v]
+        i0 = np.searchsorted(xs_sorted, cursor, side="right")
+        i1 = np.searchsorted(xs_sorted, hi, side="right")
+        kids = pos_order[i0:i1]
+        children[v] = kids
+        parent[kids] = v
+        cursor = hi
+        e_times[v] = min(hi, 1.0)
+        return kids
+
+    stack = [(examine(v1), 0)]
+    while stack:
+        kids, i = stack.pop()
+        if i < kids.size:
+            stack.append((kids, i + 1))
+            stack.append((examine(int(kids[i])), 0))
+    order = np.array(order, dtype=np.int64)
+    return v1, parent, order, e_times, np.concatenate([[0.0], e_times[order]]), children
 
 
 class TestPSeq:
@@ -247,6 +285,41 @@ class TestPendingHeavySign:
         g = corrected_excursion(t, exc, self.p)
         assert g.value(t.e_times[2]) == pytest.approx(0.5, abs=1e-12)
         assert corrected_pending_error(t, exc, self.p) <= 1e-12
+
+
+class TestDepthTreeOracle:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 50, 1000, 10_000])
+    def test_matches_per_vertex_construction(self, n):
+        vectors = [uniform_pseq(n)]
+        if n >= 50:  # at n < 20 the heavy entries would fall below the light ones
+            vectors.append(approximating_pseq(REFERENCE_THETA, n))
+        seeds = 3 if n == 10_000 else 10
+        for p in vectors:
+            for k in range(seeds):
+                x = sample_positions(p.n, RngState(31, k))
+                t = depth_tree(p, x)
+                root, parent, order, e_times, visit_cum, children = reference_depth_tree(p, x)
+                assert t.root == root
+                for got, want in [(t.parent, parent), (t.order, order),
+                                  (t.e_times, e_times), (t.visit_cum, visit_cum)]:
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                assert len(t.children) == p.n
+                for got, want in zip(t.children, children):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+                exc, _, _ = particle_excursion(p, x)
+                assert pending_mass_error(t, exc, p) <= IDENTITY_TOL
+
+    def test_hand_realizations_match(self):
+        for p, x in [(TestHandThree.p, TestHandThree.x),
+                     (TestHandFourHeavy.p, TestHandFourHeavy.x),
+                     (TestPendingHeavySign.p, TestPendingHeavySign.x)]:
+            t = depth_tree(p, x)
+            _, parent, order, e_times, _, _ = reference_depth_tree(p, x)
+            assert np.array_equal(t.parent, parent)
+            assert np.array_equal(t.order, order)
+            assert np.array_equal(t.e_times, e_times)
 
 
 class TestSingleVertex:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from icrt_lab.reflect import sample_excursion
 from icrt_lab.rng import RngState
 from icrt_lab.stats import (
     MONITORING_BETA,
+    TestReport as Report,  # aliased so pytest does not collect it
     chi_square_gof,
     excursion_time_change,
     jeulin_check,
@@ -21,6 +24,20 @@ from icrt_lab.stats import (
 )
 
 from conftest import make_tent
+
+
+class TestReportEncoding:
+    def test_numpy_scalars_encode(self):
+        rep = Report(suite="s", statistic=np.float64(0.5), p_value=0.5,
+                         passed=np.bool_(True), n_samples=np.int64(3),
+                         extra={"flag": np.bool_(False), "count": np.int64(2)})
+        assert type(rep.passed) is bool
+        obj = json.loads(rep.to_json())
+        assert obj["pass"] is True and obj["flag"] is False and obj["count"] == 2
+
+    def test_zero_samples_never_pass(self):
+        rep = Report(suite="s", statistic=0.0, p_value=1.0, passed=True, n_samples=0)
+        assert rep.passed is False
 
 
 class TestKs:
