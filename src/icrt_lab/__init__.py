@@ -9,7 +9,6 @@ from .paths import (
     build_ei_bridge,
     continuous_path,
     first_passage_below,
-    running_infimum,
     sample_brownian_bridge,
     sup_distance,
     theta_from_atoms,
@@ -26,6 +25,7 @@ from .ptree import (
     depth_tree,
     exploration_gap,
     exploration_height,
+    generation_error,
     generation_weights,
     particle_bridge,
     particle_excursion,
@@ -46,15 +46,15 @@ from .reflect import (
     sample_reflected,
     truncated_coupling,
 )
-from .rng import RngState, stream_states
+from .rng import RngState
 from .stats import (
     TestReport,
     chi_square_gof,
-    jeulin_check,
     ks_two_sample,
     lamperti_time,
     occupation_density,
     time_changed_width,
 )
+from .verify import jeulin_check
 
 __version__ = "0.1.0"

@@ -2,27 +2,24 @@
 
 Exit codes: 0 success, 1 suite failure, 2 usage or configuration error.
 Every run is reproducible from (argv, seed); reports embed the resolved
-configuration.  ICRT_LAB_THREADS caps replicate parallelism (suites run
-replicates sequentially, which always respects the cap).
+configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import errors as err
 from .icrt import line_breaking_tree
-from .paths import DEFAULT_GRID, Theta, build_ei_bridge, sample_brownian_bridge, validate_theta, vervaat_transform
+from .paths import DEFAULT_GRID, Theta, sample_brownian_bridge, validate_theta
 from .ptree import PSeq, approximating_pseq, breadth_tree, depth_tree, sample_positions, uniform_pseq, width_profile
 from .reflect import reflected_excursion, sample_excursion
 from .rng import RngState
-from .verify import SUITES
+from .verify import REFERENCE_THETA, SUITES
 
 
 @dataclass
@@ -32,26 +29,23 @@ class Config:
     theta: Theta | None = None
     uniform: bool = False
     n: int | None = 1000
-    leaves: int = 2
-    grid: int = DEFAULT_GRID
+    leaves: int | None = 2
+    grid: int | None = DEFAULT_GRID
     seed: int = 0
     samples: int | None = None
     out: str | None = None
     construction: str = "breadth"
-    suite: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
-        if self.n is not None and self.n < 1:
-            raise ValueError(f"--n must be >= 1, got {self.n}")
-        if self.samples is not None and self.samples < 1:
-            raise ValueError(f"--samples must be >= 1, got {self.samples}")
-
-    def describe(self) -> dict:
-        d = asdict(self)
-        if self.theta is not None:
-            d["theta"] = [self.theta.theta0, *self.theta.atoms]
-        return d
+        for flag, value, low in (("--n", self.n, 1), ("--samples", self.samples, 1),
+                                 ("--grid", self.grid, 2), ("--J", self.leaves, 1)):
+            if value is not None and value < low:
+                raise ValueError(f"{flag} must be >= {low}, got {value}")
+        if self.theta is not None and not self.uniform and self.n is not None:
+            try:
+                approximating_pseq(self.theta, self.n)
+            except ValueError as e:
+                raise ValueError(f"--n {self.n} is too small for theta: {e}") from None
 
 
 def _parse_theta(text: str) -> Theta:
@@ -59,17 +53,6 @@ def _parse_theta(text: str) -> Theta:
     if not parts:
         raise err.NormError("empty theta argument")
     return validate_theta(parts[0], parts[1:])
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("ICRT_LAB_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise SystemExit(_usage_error(f"ICRT_LAB_THREADS must be an integer, got {raw!r}"))
-    if val < 1:
-        raise SystemExit(_usage_error("ICRT_LAB_THREADS must be >= 1"))
-    return val
 
 
 def _usage_error(msg: str) -> int:
@@ -94,22 +77,25 @@ def _pseq_from_config(cfg: Config) -> PSeq:
 def cmd_sample(args) -> int:
     try:
         theta = _parse_theta(args.theta) if args.theta else None
-        cfg = Config(theta=theta, uniform=args.uniform, n=args.n, leaves=args.J,
-                     grid=args.grid, seed=args.seed, out=args.out,
-                     construction=args.construction, threads=_threads_from_env())
+        # Only the tree kinds read --n, so only they check it against theta.
+        cfg = Config(theta=theta, uniform=args.uniform,
+                     n=args.n if args.kind in ("ptree", "width") else None,
+                     leaves=args.J, grid=args.grid, seed=args.seed, out=args.out,
+                     construction=args.construction)
     except (err.NormError, err.SignError, err.ZeroTheta0Error, ValueError) as e:
         return _usage_error(f"{type(e).__name__}: {e}")
     rng = RngState(cfg.seed)
     kind = args.kind
     try:
-        if kind == "bridge":
-            path = sample_brownian_bridge(cfg.grid, rng)
-            text = _path_csv(path)
-        elif kind in ("excursion", "y"):
-            th = cfg.theta or validate_theta(1.0, ())
-            exc = sample_excursion(th, cfg.grid, rng)
-            path = reflected_excursion(exc) if kind == "y" else exc
-            text = _path_csv(path)
+        if kind in ("bridge", "excursion", "y"):
+            if kind == "bridge":
+                path = sample_brownian_bridge(cfg.grid, rng)
+            else:
+                exc = sample_excursion(cfg.theta or validate_theta(1.0, ()), cfg.grid, rng)
+                path = reflected_excursion(exc) if kind == "y" else exc
+            buf = io.StringIO()
+            path.to_csv(buf)
+            text = buf.getvalue()
         elif kind == "ptree":
             p = _pseq_from_config(cfg)
             build = breadth_tree if cfg.construction == "breadth" else depth_tree
@@ -140,22 +126,13 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _path_csv(path) -> str:
-    lines = ["t,left_value,right_value"]
-    for t, l, r in zip(path.times, path.left, path.right):
-        lines.append(f"{t:.17g},{l:.17g},{r:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_verify(args) -> int:
     if args.suite not in SUITES:
         return _usage_error(f"unknown suite {args.suite!r}; available: {', '.join(SUITES)}")
     try:
-        threads = _threads_from_env()
-    except SystemExit as e:
-        return int(e.code)
-    try:
-        Config(n=args.n, samples=args.samples)  # validates the counts
+        # identities and theorem2 build the reference vector at --n
+        Config(theta=REFERENCE_THETA if args.suite in ("identities", "theorem2") else None,
+               n=args.n, samples=args.samples, grid=args.grid, leaves=args.J)
     except ValueError as e:
         return _usage_error(str(e))
     kwargs = {"seed": args.seed}
@@ -171,8 +148,12 @@ def cmd_verify(args) -> int:
         "y-oracle": {"reps": args.samples, "grid": args.grid},
     }[args.suite]
     kwargs.update({k: v for k, v in opt.items() if v is not None})
-    config = {"suite": args.suite, "threads": threads, **kwargs}
-    reports, ok = SUITES[args.suite](**kwargs)
+    config = {"suite": args.suite, **kwargs}
+    try:
+        reports, ok = SUITES[args.suite](**kwargs)
+    except err.LowExpectedCountError as e:
+        return _usage_error(f"--samples {args.samples} is too small for the "
+                            f"chi-square test: {e}")
     lines = []
     for rep in reports:
         obj = json.loads(rep.to_json())

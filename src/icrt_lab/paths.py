@@ -389,34 +389,6 @@ def vervaat_transform(x: CadlagPath) -> tuple[CadlagPath, float]:
     return exc, t_min
 
 
-def running_infimum(x: CadlagPath, t_from: float, t_to: float) -> CadlagPath:
-    """The nondecreasing map u -> inf over [u, t_to] of x, on [t_from, t_to]."""
-    sub = x if (t_from, t_to) == (x.t0, x.t1) else x.restrict(t_from, t_to)
-    t, l, r = sub.times, sub.left, sub.right
-    n = t.size
-    a = np.empty(n)
-    a[:-1] = np.minimum(r[:-1], l[1:])
-    a[-1] = r[-1]
-    m = np.minimum.accumulate(a[::-1])[::-1]  # m[k] = inf over [t_k, t_to]
-    times = [t[0]]
-    left = [m[0]]
-    right = [m[0]]
-    for k in range(n - 1):
-        nxt = m[k + 1]
-        if r[k] < nxt < l[k + 1]:
-            # rising segment: follow x up to level nxt, then flat
-            frac = (nxt - r[k]) / (l[k + 1] - r[k])
-            u_star = t[k] + frac * (t[k + 1] - t[k])
-            if times[-1] < u_star < t[k + 1]:
-                times.append(u_star)
-                left.append(nxt)
-                right.append(nxt)
-        times.append(t[k + 1])
-        left.append(min(l[k + 1], nxt))
-        right.append(nxt if k + 1 < n - 1 else r[-1])
-    return CadlagPath(np.array(times), np.array(left), np.array(right))
-
-
 def running_infimum_forward(x: CadlagPath, t_from: float, t_to: float) -> CadlagPath:
     """The nonincreasing map u -> inf over [t_from, u] of x, on [t_from, t_to]."""
     sub = x if (t_from, t_to) == (x.t0, x.t1) else x.restrict(t_from, t_to)

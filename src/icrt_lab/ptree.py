@@ -448,46 +448,59 @@ def claim_margin(tree: RootedTree) -> float:
     return float((pos - starts).max()) if pos.size else float("-inf")
 
 
+def _generation_points(tree: RootedTree, exc: CadlagPath, p: PSeq):
+    """Cumulative visit time u_h at the end of each generation h-1, the
+    walk's value there, and the worst deviation of the identity, for
+    heights 1..max+1."""
+    _require(tree, "breadth")
+    ht = tree.heights
+    max_h = int(ht.max())
+    masses = np.bincount(ht, weights=p.probs, minlength=max_h + 2)
+    ends = np.cumsum(np.bincount(ht, minlength=max_h + 2))[: max_h + 1]
+    u = tree.visit_cum[ends]
+    vals = exc.value(u)
+    worst = max(float(np.abs(u - np.cumsum(masses[: max_h + 1])).max()),
+                float(np.abs(vals - masses[1:]).max()))
+    return u, vals, worst
+
+
+def generation_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
+    """Max deviation of the generation identity: at the cumulative visit
+    time of generations 0..h-1 the walk equals generation h's weight, and
+    that time equals the weight of generations 0..h-1."""
+    return _generation_points(tree, exc, p)[2]
+
+
 def generation_weights(tree: RootedTree, exc: CadlagPath, p: PSeq,
                        tol: float = IDENTITY_TOL) -> list[tuple[float, float]]:
     """Per-generation identity: the walk's value at the cumulative visit
     time of each generation equals the next generation's weight.
 
     Returns (time, value) pairs for heights 1..max+1; raises
-    IdentityViolation beyond tol.
+    IdentityViolation when generation_error exceeds tol.
     """
-    _require(tree, "breadth")
-    ht = tree.heights
-    probs = p.probs
-    max_h = int(ht.max())
-    masses = np.bincount(ht, weights=probs, minlength=max_h + 2)
-    counts = np.bincount(ht, minlength=max_h + 2)
-    t_h = np.cumsum(counts)
-    out = []
-    worst = 0.0
-    cum = 0.0
-    for h in range(1, max_h + 2):
-        cum += masses[h - 1]
-        u_h = float(tree.visit_cum[t_h[h - 1]])
-        val = float(exc.value(u_h))
-        worst = max(worst, abs(u_h - cum), abs(val - masses[h]))
-        out.append((u_h, val))
+    u, vals, worst = _generation_points(tree, exc, p)
     if worst > tol:
         raise IdentityViolation(f"generation identity off by {worst:.3g}")
-    return out
+    return list(zip(u.tolist(), vals.tolist()))
+
+
+def _height_step_path(tree: RootedTree, t: np.ndarray) -> CadlagPath:
+    """Step path with the i-th examined vertex's height on [t[i-1], t[i])."""
+    _require(tree, "depth")
+    ht = tree.heights[tree.order].astype(float)
+    left = np.concatenate([[ht[0]], ht])
+    right = np.concatenate([ht, [ht[-1]]])
+    return CadlagPath(t, left, right)
 
 
 def exploration_height(tree: RootedTree, p: PSeq) -> CadlagPath:
     """Step path whose value on the i-th examination interval is the height
     of the i-th examined vertex; heights at examination end times are the
     stored left limits."""
-    _require(tree, "depth")
-    ht = tree.heights[tree.order].astype(float)
     t = tree.visit_cum.copy()
     t[-1] = 1.0
-    left = np.concatenate([[ht[0]], ht])
-    right = np.concatenate([ht, [ht[-1]]])
-    return CadlagPath(t, left, right)
+    return _height_step_path(tree, t)
 
 
 def dfs_mass_path(tree: RootedTree, p: PSeq) -> CadlagPath:
@@ -501,13 +514,7 @@ def dfs_mass_path(tree: RootedTree, p: PSeq) -> CadlagPath:
 
 def classical_exploration(tree: RootedTree, p: PSeq) -> CadlagPath:
     """Step path with the i-th examined vertex's height on [(i-1)/n, i/n)."""
-    _require(tree, "depth")
-    n = tree.n
-    ht = tree.heights[tree.order].astype(float)
-    t = np.arange(n + 1) / n
-    left = np.concatenate([[ht[0]], ht])
-    right = np.concatenate([ht, [ht[-1]]])
-    return CadlagPath(t, left, right)
+    return _height_step_path(tree, np.arange(tree.n + 1) / tree.n)
 
 
 def classical_identity_error(tree: RootedTree, p: PSeq) -> float:
@@ -555,10 +562,8 @@ def corrected_excursion(tree: RootedTree, exc: CadlagPath, p: PSeq) -> CadlagPat
     order = np.argsort(ev_t, kind="stable")
     ev_t, ev_jump, ev_slope = ev_t[order], ev_jump[order], ev_slope[order]
     t_u, start = np.unique(ev_t, return_index=True)
-    end = np.concatenate([start[1:], [ev_t.size]])
     jumps = np.add.reduceat(ev_jump, start) if ev_t.size else np.array([])
     slope_steps = np.add.reduceat(ev_slope, start) if ev_t.size else np.array([])
-    del end
     if t_u[0] > 0.0:
         times = np.concatenate([[0.0], t_u, [1.0]])
         jumps = np.concatenate([[0.0], jumps, [0.0]])

@@ -134,14 +134,10 @@ def infimum_range_measure(x: CadlagPath, s: float) -> float:
 # Sampling pipelines
 # ---------------------------------------------------------------------------
 
-def sample_excursion(theta: Theta, m: int, rng: RngState,
-                     return_parts: bool = False):
+def sample_excursion(theta: Theta, m: int, rng: RngState) -> CadlagPath:
     """Sample the excursion: bridge, atom jumps, then origin relocation."""
     bridge = sample_brownian_bridge(m, rng)
-    ei = build_ei_bridge(theta, bridge, rng=rng)
-    exc, t_min = vervaat_transform(ei)
-    if return_parts:
-        return exc, t_min, bridge, ei
+    exc, _ = vervaat_transform(build_ei_bridge(theta, bridge, rng=rng))
     return exc
 
 
@@ -170,11 +166,7 @@ def truncated_coupling(theta: Theta, keep: int, bridge: CadlagPath,
     if not 0 <= keep <= theta.length:
         raise ValueError("keep must be between 0 and the number of atoms")
     jump_times = [float(u) for u in jump_times]
-    full_ei = build_ei_bridge(theta, bridge, jump_times=jump_times)
-    k = full_ei.argmin_breakpoint()
-    t_min = float(full_ei.times[k])
-    base_full = float(min(full_ei.left[k], full_ei.right[k]))
-    x_full = cyclic_shift(full_ei, t_min, base_full)
+    x_full, t_min = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=jump_times))
     y_full = reflected_excursion(x_full)
     if device == "partial":
         ivs = jump_intervals(x_full)

@@ -33,7 +33,3 @@ class RngState:
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, stream={self.stream})"
 
-
-def stream_states(seed: int, n: int, base_stream: int = 0) -> list[RngState]:
-    """Independent replicate streams for fan-out loops."""
-    return [RngState(seed, base_stream + k) for k in range(n)]

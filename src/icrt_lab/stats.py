@@ -19,9 +19,6 @@ from .errors import (
     NegativePathError,
 )
 from .paths import CadlagPath
-from .reflect import sample_excursion
-from .rng import RngState
-from .paths import Theta, validate_theta
 
 ALPHA = 0.01
 KS_SERIES_TERMS = 100
@@ -114,6 +111,17 @@ def chi_square_gof(counts, expected_probs, suite: str = "chi2",
 # Path functionals
 # ---------------------------------------------------------------------------
 
+def _reciprocal_segments(dt: np.ndarray, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """Exact integral of ds / x(s) over each linear segment of duration dt
+    from value v0 to value v1, both positive."""
+    out = np.empty_like(dt)
+    flat = v0 == v1
+    out[flat] = dt[flat] / v0[flat]
+    nf = ~flat
+    out[nf] = dt[nf] * (np.log(v1[nf]) - np.log(v0[nf])) / (v1[nf] - v0[nf])
+    return out
+
+
 def lamperti_time(x: CadlagPath, t0: float, t1: float) -> float:
     """Integral of ds / x(s) over [t0, t1], exact on linear segments.
 
@@ -131,12 +139,7 @@ def lamperti_time(x: CadlagPath, t0: float, t1: float) -> float:
         raise NegativePathError("path is negative on the integration interval")
     if np.any(v0 <= 0.0) or np.any(v1 <= 0.0):
         return float("inf")
-    flat = v0 == v1
-    out = np.empty_like(dt)
-    out[flat] = dt[flat] / v0[flat]
-    nf = ~flat
-    out[nf] = dt[nf] * (np.log(v1[nf]) - np.log(v0[nf])) / (v1[nf] - v0[nf])
-    return float(out.sum())
+    return float(_reciprocal_segments(dt, v0, v1).sum())
 
 
 # Expected gap between a Brownian path's true extremum and its best grid
@@ -199,10 +202,7 @@ def excursion_time_change(x: CadlagPath, shift: float = 0.0) -> TimeChangeProfil
     v1 = np.where(v1 < 0.0, 0.0, v1)
     contrib = np.empty_like(dt)
     both = (v0 > 0.0) & (v1 > 0.0)
-    flat = both & (v0 == v1)
-    slope = both & ~flat
-    contrib[flat] = dt[flat] / v0[flat]
-    contrib[slope] = dt[slope] * (np.log(v1[slope]) - np.log(v0[slope])) / (v1[slope] - v0[slope])
+    contrib[both] = _reciprocal_segments(dt[both], v0[both], v1[both])
     z0 = (v0 == 0.0) & (v1 > 0.0)
     z1 = (v1 == 0.0) & (v0 > 0.0)
     contrib[z0] = 2.0 * dt[z0] / v1[z0]
@@ -269,61 +269,16 @@ class Histogram:
 
 
 def occupation_density(x: CadlagPath, bin_width: float) -> Histogram:
-    """Occupation histogram with analytic per-segment band times."""
+    """Occupation histogram with exact band times.
+
+    Bin i holds the time spent in [edges[i], edges[i+1]), taken as a
+    difference of band times up to the top edge, so that a flat piece lying
+    on an edge is counted once.
+    """
     if bin_width <= 0.0:
         raise ValueError("bin width must be positive")
-    v0 = x.right[:-1]
-    v1 = x.left[1:]
-    dt = np.diff(x.times)
-    a = np.minimum(v0, v1)
-    b = np.maximum(v0, v1)
     k_lo = int(np.floor(x.min_value() / bin_width))
     k_hi = int(np.floor(x.max_value() / bin_width)) + 1
-    nbins = k_hi - k_lo + 1
-    time = np.zeros(nbins)
-    ka = np.floor(a / bin_width).astype(int) - k_lo
-    kb = np.floor(b / bin_width).astype(int) - k_lo
-    same = ka == kb
-    np.add.at(time, ka[same], dt[same])
-    cross = np.nonzero(~same)[0]
-    for idx in cross:
-        lo_band, hi_band = ka[idx], kb[idx]
-        span = b[idx] - a[idx]
-        for kk in range(lo_band, hi_band + 1):
-            band_lo = (kk + k_lo) * bin_width
-            band_hi = band_lo + bin_width
-            ov = min(b[idx], band_hi) - max(a[idx], band_lo)
-            if ov > 0.0:
-                time[kk] += dt[idx] * ov / span
-    edges = (np.arange(nbins + 1) + k_lo) * bin_width
-    return Histogram(edges=edges, time_in_bin=time)
-
-
-# ---------------------------------------------------------------------------
-# Local-time identity check
-# ---------------------------------------------------------------------------
-
-def jeulin_check(m: int, n_samples: int, rng: RngState, u: float = 0.5,
-                 band: float = 0.02) -> TestReport:
-    """Distributional check at a fixed time-changed point of the excursion.
-
-    Side A: half the occupation density of a sampled excursion at level u/2.
-    Side B: an independent excursion evaluated at the inverse reciprocal
-    time change of u.  Both populations follow one law; the report carries
-    the two-sample comparison.  Both sides use the grid-minimum continuity
-    correction (the relocated origin sits slightly above the true infimum).
-    """
-    brownian = validate_theta(1.0, ())
-    eps = MONITORING_BETA / np.sqrt(m)
-    level = u / 2.0 - eps
-    side_a = np.empty(n_samples)
-    side_b = np.empty(n_samples)
-    for k in range(n_samples):
-        exc = sample_excursion(brownian, m, rng.child(2 * k))
-        occ = time_in_band(exc, level - band / 2.0, level + band / 2.0) / band
-        side_a[k] = 0.5 * occ
-        exc2 = sample_excursion(brownian, m, rng.child(2 * k + 1))
-        side_b[k] = excursion_time_change(exc2, shift=eps).value_at(u)
-    rep = ks_two_sample(side_a, side_b, suite="jeulin", seed=rng.seed)
-    rep.extra.update({"u": u, "grid": m, "band": band, "shift": eps})
-    return rep
+    edges = (np.arange(k_hi - k_lo + 2) + k_lo) * bin_width
+    above = np.array([time_in_band(x, lo, edges[-1]) for lo in edges[:-1]] + [0.0])
+    return Histogram(edges=edges, time_in_bin=above[:-1] - above[1:])

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateError, DuplicateSampleError, TieError
-from .icrt import edge_tree_stats, line_breaking_tree, sample_function_tree, spanning_subtree
+from .icrt import line_breaking_tree, sample_function_tree, spanning_subtree
 from .paths import sample_brownian_bridge, sup_distance, validate_theta
 from .ptree import (
     PSeq,
@@ -22,6 +22,7 @@ from .ptree import (
     depth_tree,
     enumerate_parent_arrays,
     exploration_gap,
+    generation_error,
     particle_excursion,
     pending_mass_error,
     ptree_probability,
@@ -38,8 +39,8 @@ from .stats import (
     TestReport,
     chi_square_gof,
     excursion_time_change,
-    jeulin_check,
     ks_two_sample,
+    time_in_band,
 )
 
 # Demo parameter sequence used across the suites (three-decimal inputs).
@@ -84,7 +85,7 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0,
         exc, _, _ = particle_excursion(p, x)
         bt = breadth_tree(p, x)
         bt.validate()
-        errs["generation"].append(_generation_error(bt, exc, p))
+        errs["generation"].append(generation_error(bt, exc, p))
         w_fn, wbar_fn = width_profile(bt, p)
         errs["width"].append(_amax(np.abs(exc.value(wbar_fn.values) - w_fn.values)))
         errs["claim"].append(max(claim_margin(bt), 0.0))
@@ -111,22 +112,6 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0,
         all_ok &= rep.passed
         reports.append(rep)
     return reports, all_ok
-
-
-def _generation_error(bt, exc, p) -> float:
-    ht = bt.heights
-    probs = p.probs
-    max_h = int(ht.max())
-    masses = np.bincount(ht, weights=probs, minlength=max_h + 2)
-    counts = np.bincount(ht, minlength=max_h + 2)
-    t_h = np.cumsum(counts)
-    worst = 0.0
-    cum = 0.0
-    for h in range(1, max_h + 2):
-        cum += masses[h - 1]
-        u_h = float(bt.visit_cum[t_h[h - 1]])
-        worst = max(worst, abs(u_h - cum), abs(float(exc.value(u_h)) - masses[h]))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +296,31 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
 # 5. local-time identity
 # ---------------------------------------------------------------------------
 
+def jeulin_check(m: int, n_samples: int, rng: RngState, u: float = 0.5,
+                 band: float = 0.02) -> TestReport:
+    """Distributional check at a fixed time-changed point of the excursion.
+
+    Side A: half the occupation density of a sampled excursion at level u/2.
+    Side B: an independent excursion evaluated at the inverse reciprocal
+    time change of u.  Both populations follow one law; the report carries
+    the two-sample comparison.  Both sides use the grid-minimum continuity
+    correction (the relocated origin sits slightly above the true infimum).
+    """
+    eps = MONITORING_BETA / np.sqrt(m)
+    level = u / 2.0 - eps
+    side_a = np.empty(n_samples)
+    side_b = np.empty(n_samples)
+    for k in range(n_samples):
+        exc = sample_excursion(BROWNIAN_THETA, m, rng.child(2 * k))
+        occ = time_in_band(exc, level - band / 2.0, level + band / 2.0) / band
+        side_a[k] = 0.5 * occ
+        exc2 = sample_excursion(BROWNIAN_THETA, m, rng.child(2 * k + 1))
+        side_b[k] = excursion_time_change(exc2, shift=eps).value_at(u)
+    rep = ks_two_sample(side_a, side_b, suite="jeulin", seed=rng.seed)
+    rep.extra.update({"u": u, "grid": m, "band": band, "shift": eps})
+    return rep
+
+
 def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0,
                  u: float = 0.5):
     """Occupation-density identity at a fixed point plus the independent
@@ -401,15 +411,6 @@ def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0,
 # 8. repeat-time identity
 # ---------------------------------------------------------------------------
 
-def _height_of(tree, v: int) -> int:
-    h = 0
-    w = v
-    while tree.parent[w] != -1:
-        w = int(tree.parent[w])
-        h += 1
-    return h
-
-
 def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
     """First-repeat index minus two matches the height of a drawn vertex."""
     p = uniform_pseq(n)
@@ -422,7 +423,7 @@ def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
             rng = RngState(s, 100 + k)
             tr = breadth_tree(p, sample_positions(n, rng))
             v = int(p.draw(rng))
-            side_b[k] = _height_of(tr, v)
+            side_b[k] = tr.heights[v]
         return ks_two_sample(side_a, side_b, suite="repeat-time", seed=s)
 
     reps = _with_retry(check, seed)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -111,19 +110,41 @@ class TestVerify:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert rows and all(isinstance(r["pass"], bool) for r in rows)
 
-    def test_threads_env_validated(self, monkeypatch, capsys):
-        monkeypatch.setenv("ICRT_LAB_THREADS", "zebra")
-        rc = run_cli(["verify", "y-oracle", "--samples", "2", "--grid", "128"])
-        assert rc == 2
 
-    def test_threads_env_recorded(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("ICRT_LAB_THREADS", "4")
-        out = tmp_path / "rep.jsonl"
-        rc = run_cli(["verify", "y-oracle", "--samples", "2", "--grid", "128",
-                      "--out", str(out)])
-        assert rc == 0
-        row = json.loads(out.read_text().splitlines()[0])
-        assert row["config"]["threads"] == 4
+REFERENCE = "0.862,0.345,0.302,0.216"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["sample", "bridge", "--grid", "1"], "--grid must be >= 2",
+                 id="sample-bridge-grid"),
+    pytest.param(["verify", "theorem1", "--grid", "1", "--samples", "5"],
+                 "--grid must be >= 2", id="verify-theorem1-grid"),
+    pytest.param(["sample", "icrt", "--J", "0"], "--J must be >= 1", id="sample-icrt-J"),
+    pytest.param(["verify", "theorem2", "--J", "0", "--samples", "5"], "--J must be >= 1",
+                 id="verify-theorem2-J"),
+    pytest.param(["sample", "ptree", "--theta", REFERENCE, "--n", "3"],
+                 "--n 3 is too small for theta", id="sample-ptree-n"),
+    pytest.param(["sample", "width", "--theta", REFERENCE, "--n", "3"],
+                 "--n 3 is too small for theta", id="sample-width-n"),
+    pytest.param(["verify", "theorem2", "--n", "3", "--samples", "5"],
+                 "--n 3 is too small for theta", id="verify-theorem2-n"),
+    pytest.param(["verify", "identities", "--n", "3", "--samples", "5"],
+                 "--n 3 is too small for theta", id="verify-identities-n"),
+    pytest.param(["verify", "btree-law", "--samples", "10"], "--samples 10 is too small",
+                 id="verify-btree-law-samples"),
+])
+def test_bad_input_exits_2(argv, message, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_path_kinds_do_not_check_n_against_theta(tmp_path):
+    # at the default --n 1000 the atom 0.01 would fall below the light
+    # entries, but sampling an excursion never builds the vector
+    assert run_cli(["sample", "excursion", "--theta", "0.99995,0.01", "--grid", "64",
+                    "--out", str(tmp_path / "x.csv")]) == 0
 
 
 class TestEntryPoint:

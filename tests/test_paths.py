@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from icrt_lab.paths import (
     continuous_path,
     cyclic_shift,
     first_passage_below,
-    running_infimum,
     running_infimum_forward,
     sample_brownian_bridge,
     sup_distance,
@@ -148,21 +149,6 @@ class TestVervaat:
 
 
 class TestRunningInfimum:
-    def test_monotone_input_is_identity(self):
-        x = continuous_path([0.0, 0.4, 1.0], [0.0, 0.3, 1.0])
-        g = running_infimum(x, 0.0, 1.0)
-        assert sup_distance(g, x) == 0.0
-
-    def test_tent_tail_infimum_is_zero(self):
-        g = running_infimum(make_tent(), 0.0, 1.0)
-        for u in [0.0, 0.3, 0.5, 0.9, 1.0]:
-            assert g.value(u) == 0.0
-
-    def test_constant(self):
-        c = continuous_path([0.0, 1.0], [0.7, 0.7])
-        g = running_infimum(c, 0.0, 1.0)
-        assert g.value(0.3) == 0.7 and g.value(1.0) == 0.7
-
     def test_forward_on_tent(self):
         m = running_infimum_forward(make_tent(), 0.25, 1.0)
         assert m.value(0.5) == pytest.approx(0.25)  # still at entry value
@@ -214,6 +200,19 @@ class TestCadlagPath:
         x.to_csv(f)
         y = CadlagPath.from_csv(f)
         assert sup_distance(x, y) == 0.0
+
+    def test_csv_text_is_pinned(self):
+        # the format `icrt-lab sample` writes: 17 significant digits, the
+        # sign of zero kept, one row per breakpoint with both values
+        x = CadlagPath(np.array([0.0, 0.1, 1.0]),
+                       np.array([-0.0, 0.1, 0.0]),
+                       np.array([-0.0, 0.35, 0.0]))
+        buf = io.StringIO()
+        x.to_csv(buf)
+        assert buf.getvalue() == ("t,left_value,right_value\n"
+                                  "0,-0,-0\n"
+                                  "0.10000000000000001,0.10000000000000001,0.34999999999999998\n"
+                                  "1,0,0\n")
 
     def test_cyclic_shift_preserves_jumps(self):
         x = CadlagPath(np.array([0.0, 0.3, 0.7, 1.0]),

@@ -14,7 +14,6 @@ from icrt_lab.stats import (
     TestReport as Report,  # aliased so pytest does not collect it
     chi_square_gof,
     excursion_time_change,
-    jeulin_check,
     kolmogorov_sf,
     ks_two_sample,
     lamperti_time,
@@ -22,6 +21,7 @@ from icrt_lab.stats import (
     time_changed_width,
     time_in_band,
 )
+from icrt_lab.verify import jeulin_check
 
 from conftest import make_tent
 
@@ -219,3 +219,19 @@ def test_occupation_integral_exact_property(m, seed):
     x = continuous_path(t, v)
     h = occupation_density(x, 0.037)
     assert h.total_time == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=5000),
+       st.sampled_from([0.01, 0.037, 0.25]))
+def test_occupation_bins_sum_to_band_time_property(m, seed, bin_width):
+    # values on a coarse lattice, so flat pieces and pieces lying on a bin
+    # edge occur; each must be counted in exactly one bin
+    g = RngState(9, seed).gen
+    t = np.unique(np.concatenate([[0.0, 1.0], g.random(m - 1)]))
+    x = continuous_path(t, 0.05 * g.integers(-4, 12, size=t.size))
+    h = occupation_density(x, bin_width)
+    assert (h.time_in_bin >= 0.0).all()
+    covered = time_in_band(x, h.edges[0], h.edges[-1])
+    assert h.time_in_bin.sum() == pytest.approx(covered, abs=1e-12)
+    assert covered == pytest.approx(1.0, abs=1e-12)
