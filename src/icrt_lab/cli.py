@@ -135,6 +135,9 @@ def cmd_verify(args) -> int:
                n=args.n, samples=args.samples, grid=args.grid, leaves=args.J)
     except ValueError as e:
         return _usage_error(str(e))
+    if args.suite == "jeulin" and args.samples == 1:
+        return _usage_error("--samples must be >= 2 for jeulin: the height-mean check "
+                            "needs a sample variance")
     kwargs = {"seed": args.seed}
     opt = {
         "identities": {"n": args.n, "reps": args.samples},

@@ -326,6 +326,13 @@ def _ei_jump_values(atoms, jump_times, t):
     return jl, jr
 
 
+def _on_grid(grid: np.ndarray, u):
+    """Whether u (a scalar or an array) is a point of the strictly
+    increasing array grid."""
+    i = np.minimum(np.searchsorted(grid, u), grid.size - 1)
+    return grid[i] == u
+
+
 def build_ei_bridge(theta: Theta, bridge: CadlagPath,
                     jump_times=None, rng: RngState | None = None) -> CadlagPath:
     """Exchangeable-increment bridge: theta0 * bridge plus atom jump terms.
@@ -341,12 +348,10 @@ def build_ei_bridge(theta: Theta, bridge: CadlagPath,
         if n_atoms > 0 and rng is None:
             raise ValueError("rng required to sample jump times")
         jump_times = []
-        taken = set(grid.tolist())
         while len(jump_times) < n_atoms:
             u = float(rng.gen.uniform(0.0, 1.0))
-            if u in taken or not 0.0 < u < 1.0:
+            if not 0.0 < u < 1.0 or u in jump_times or _on_grid(grid, u):
                 continue  # collision has probability zero; resample
-            taken.add(u)
             jump_times.append(u)
     else:
         jump_times = [float(u) for u in jump_times]
@@ -356,16 +361,22 @@ def build_ei_bridge(theta: Theta, bridge: CadlagPath,
             raise ValueError("jump times must lie in (0, 1)")
         if len(set(jump_times)) != n_atoms:
             raise JumpCollisionError("duplicate jump times")
-        if set(jump_times) & set(grid.tolist()):
+        if _on_grid(grid, np.asarray(jump_times, dtype=float)).any():
             raise JumpCollisionError("jump time collides with a grid point")
+    # the bridge's value at its own breakpoints is its right value, so only
+    # the jump times need evaluating
     if n_atoms:
         u_arr = np.asarray(jump_times, dtype=float)
-        t = np.unique(np.concatenate([grid, u_arr]))
+        u_sorted = np.sort(u_arr)
+        at = np.searchsorted(grid, u_sorted)
+        t = np.insert(grid, at, u_sorted)
+        base = np.insert(bridge.right, at, bridge.value(u_sorted))
         jl, jr = _ei_jump_values(theta.atoms, u_arr, t)
     else:
         t = grid.copy()
+        base = bridge.right
         jl = jr = np.zeros_like(t)
-    cont = theta.theta0 * bridge.value(t)
+    cont = theta.theta0 * base
     left = cont + jl
     right = cont + jr
     left[0] = right[0] = 0.0

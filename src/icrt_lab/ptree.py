@@ -494,7 +494,7 @@ def _height_step_path(tree: RootedTree, t: np.ndarray) -> CadlagPath:
     return CadlagPath(t, left, right)
 
 
-def exploration_height(tree: RootedTree, p: PSeq) -> CadlagPath:
+def exploration_height(tree: RootedTree) -> CadlagPath:
     """Step path whose value on the i-th examination interval is the height
     of the i-th examined vertex; heights at examination end times are the
     stored left limits."""
@@ -503,7 +503,7 @@ def exploration_height(tree: RootedTree, p: PSeq) -> CadlagPath:
     return _height_step_path(tree, t)
 
 
-def dfs_mass_path(tree: RootedTree, p: PSeq) -> CadlagPath:
+def dfs_mass_path(tree: RootedTree) -> CadlagPath:
     """Linear interpolation of cumulative visit-order weight over i/n."""
     n = tree.n
     t = np.arange(n + 1) / n
@@ -512,19 +512,19 @@ def dfs_mass_path(tree: RootedTree, p: PSeq) -> CadlagPath:
     return CadlagPath(t, v, v.copy())
 
 
-def classical_exploration(tree: RootedTree, p: PSeq) -> CadlagPath:
+def classical_exploration(tree: RootedTree) -> CadlagPath:
     """Step path with the i-th examined vertex's height on [(i-1)/n, i/n)."""
     return _height_step_path(tree, np.arange(tree.n + 1) / tree.n)
 
 
-def classical_identity_error(tree: RootedTree, p: PSeq) -> float:
+def classical_identity_error(tree: RootedTree) -> float:
     """Max deviation, at cell midpoints, of the classical step path from the
     exploration path composed with the cumulative-weight interpolant."""
     _require(tree, "depth")
     n = tree.n
-    hp = exploration_height(tree, p)
-    hn = classical_exploration(tree, p)
-    sn = dfs_mass_path(tree, p)
+    hp = exploration_height(tree)
+    hn = classical_exploration(tree)
+    sn = dfs_mass_path(tree)
     mids = (np.arange(n) + 0.5) / n
     return float(np.abs(hn.value(mids) - hp.value(sn.value(mids))).max())
 
@@ -758,7 +758,7 @@ def exploration_gap(p: PSeq, rng: RngState) -> float:
     exc, _, _ = particle_excursion(p, x)
     tree = depth_tree(p, x)
     g = corrected_excursion(tree, exc, p)
-    h = exploration_height(tree, p)
+    h = exploration_height(tree)
     sigma = p.sigma
     theta0_sq = float((p.tail_probs ** 2).sum()) / sigma ** 2
     return sup_distance(h.scale_values(0.5 * theta0_sq * sigma),

@@ -93,7 +93,7 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0,
         dt.validate()
         errs["pending"].append(pending_mass_error(dt, exc, p))
         errs["claim"].append(max(claim_margin(dt), 0.0))
-        errs["classical"].append(classical_identity_error(dt, p))
+        errs["classical"].append(classical_identity_error(dt))
         ce = corrected_pending_error(dt, exc, p)
         if ce is None:
             hypothesis_skips += 1
@@ -326,6 +326,8 @@ def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0,
     """Occupation-density identity at a fixed point plus the independent
     mean cross-check of the total reciprocal integral against twice the
     maximum."""
+    if replicates < 2:
+        raise ValueError("the height-mean check needs replicates >= 2 for a sample variance")
     reports = []
     reps = _with_retry(lambda s: jeulin_check(grid, replicates, RngState(s), u=u), seed)
     reports.extend(reps)

@@ -99,6 +99,11 @@ class TestVerify:
         assert not ok
         assert all(r.n_samples == 0 and not r.passed for r in reports)
 
+    def test_single_sample_jeulin_raises(self):
+        # one replicate has no sample variance for the height-mean check
+        with pytest.raises(ValueError, match="replicates >= 2"):
+            SUITES["jeulin"](grid=64, replicates=1)
+
     def test_jeulin_report_is_json(self, tmp_path):
         out = tmp_path / "rep.jsonl"
         res = subprocess.run(
@@ -132,6 +137,8 @@ REFERENCE = "0.862,0.345,0.302,0.216"
                  "--n 3 is too small for theta", id="verify-identities-n"),
     pytest.param(["verify", "btree-law", "--samples", "10"], "--samples 10 is too small",
                  id="verify-btree-law-samples"),
+    pytest.param(["verify", "jeulin", "--grid", "64", "--samples", "1"],
+                 "--samples must be >= 2 for jeulin", id="verify-jeulin-samples"),
 ])
 def test_bad_input_exits_2(argv, message, capsys):
     assert run_cli(argv) == 2

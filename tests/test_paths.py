@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from icrt_lab.errors import JumpCollisionError, NormError, SignError, ZeroTheta0Error
 from icrt_lab.paths import (
     CadlagPath,
+    _ei_jump_values,
     build_ei_bridge,
     continuous_path,
     cyclic_shift,
@@ -21,8 +22,70 @@ from icrt_lab.paths import (
     zero_path,
 )
 from icrt_lab.rng import RngState
+from icrt_lab.verify import BROWNIAN_THETA, REFERENCE_THETA
 
 from conftest import make_tent
+
+
+def reference_ei_bridge(theta, bridge, jump_times=None, rng=None):
+    """Set-based construction of the exchangeable-increment bridge: a
+    Python set of the grid for the collision test, and the bridge
+    re-evaluated at every breakpoint.  Test-only oracle for
+    paths.build_ei_bridge."""
+    n_atoms = len(theta.atoms)
+    grid = bridge.times
+    if jump_times is None:
+        if n_atoms > 0 and rng is None:
+            raise ValueError("rng required to sample jump times")
+        jump_times = []
+        taken = set(grid.tolist())
+        while len(jump_times) < n_atoms:
+            u = float(rng.gen.uniform(0.0, 1.0))
+            if u in taken or not 0.0 < u < 1.0:
+                continue
+            taken.add(u)
+            jump_times.append(u)
+    else:
+        jump_times = [float(u) for u in jump_times]
+        if len(jump_times) != n_atoms:
+            raise ValueError("need one jump time per atom")
+        if any(not 0.0 < u < 1.0 for u in jump_times):
+            raise ValueError("jump times must lie in (0, 1)")
+        if len(set(jump_times)) != n_atoms:
+            raise JumpCollisionError("duplicate jump times")
+        if set(jump_times) & set(grid.tolist()):
+            raise JumpCollisionError("jump time collides with a grid point")
+    if n_atoms:
+        u_arr = np.asarray(jump_times, dtype=float)
+        t = np.unique(np.concatenate([grid, u_arr]))
+        jl, jr = _ei_jump_values(theta.atoms, u_arr, t)
+    else:
+        t = grid.copy()
+        jl = jr = np.zeros_like(t)
+    cont = theta.theta0 * bridge.value(t)
+    left = cont + jl
+    right = cont + jr
+    left[0] = right[0] = 0.0
+    left[-1] = right[-1] = 0.0
+    return CadlagPath(t, left, right)
+
+
+def assert_same_path(got, want):
+    for a, b in [(got.times, want.times), (got.left, want.left), (got.right, want.right)]:
+        assert a.tobytes() == b.tobytes()
+
+
+class ScriptedRng:
+    """Stand-in for RngState whose uniform draws are scripted values."""
+
+    def __init__(self, values):
+        self.gen = self
+        self.values = list(values)
+        self.draws = 0
+
+    def uniform(self, low, high):
+        self.draws += 1
+        return self.values.pop(0)
 
 
 class TestValidateTheta:
@@ -118,6 +181,53 @@ class TestEiBridge:
         th2 = validate_theta(0.6, [0.5657, 0.5657])
         with pytest.raises(JumpCollisionError):
             build_ei_bridge(th2, b, jump_times=[0.3, 0.3])
+
+
+class TestEiBridgeOracle:
+    @pytest.mark.parametrize("m, seeds", [(2, 50), (3, 50), (64, 50), (2 ** 12, 50),
+                                          (2 ** 14, 5)])
+    def test_sampled_jump_times_match(self, m, seeds):
+        for theta in (BROWNIAN_THETA, REFERENCE_THETA):
+            for k in range(seeds):
+                b = sample_brownian_bridge(m, RngState(41, k))
+                rng, ref_rng = RngState(42, k), RngState(42, k)
+                assert_same_path(build_ei_bridge(theta, b, rng=rng),
+                                 reference_ei_bridge(theta, b, rng=ref_rng))
+                assert rng.gen.random() == ref_rng.gen.random()
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 2 ** 12])
+    def test_explicit_jump_times_match(self, m):
+        for k in range(50):
+            b = sample_brownian_bridge(m, RngState(43, k))
+            u = RngState(44, k).gen.random(3)  # unsorted
+            assert_same_path(build_ei_bridge(REFERENCE_THETA, b, jump_times=u),
+                             reference_ei_bridge(REFERENCE_THETA, b, jump_times=u))
+            assert_same_path(build_ei_bridge(BROWNIAN_THETA, b, jump_times=[]),
+                             reference_ei_bridge(BROWNIAN_THETA, b, jump_times=[]))
+            on_grid = [u[0], b.times[1 + k % (m - 1)], u[2]]
+            for build in (build_ei_bridge, reference_ei_bridge):
+                with pytest.raises(JumpCollisionError):
+                    build(REFERENCE_THETA, b, jump_times=on_grid)
+
+    def test_bridge_with_jumps_matches(self):
+        # a bridge with jumps, where left and right values differ
+        for k in range(20):
+            b = build_ei_bridge(REFERENCE_THETA, sample_brownian_bridge(64, RngState(45, k)),
+                                rng=RngState(46, k))
+            for theta in (BROWNIAN_THETA, REFERENCE_THETA):
+                rng, ref_rng = RngState(47, k), RngState(47, k)
+                assert_same_path(build_ei_bridge(theta, b, rng=rng),
+                                 reference_ei_bridge(theta, b, rng=ref_rng))
+
+    def test_resampling_rule(self):
+        # 0.25 is a grid point of m = 4, 0.0 lies outside (0, 1) and the
+        # second 0.3 repeats an accepted jump time: each is redrawn
+        th = validate_theta(0.6, [0.5657, 0.5657])
+        rng = ScriptedRng([0.25, 0.0, 0.3, 0.3, 0.7])
+        x = build_ei_bridge(th, sample_brownian_bridge(4, RngState(1)), rng=rng)
+        times, _ = x.jumps()
+        assert list(times) == [0.3, 0.7]
+        assert rng.draws == 5 and rng.values == []
 
 
 class TestVervaat:

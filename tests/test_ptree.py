@@ -236,13 +236,13 @@ class TestHandFourHeavy:
 
     def test_exploration_height_left_limits(self):
         t = depth_tree(self.p, self.x)
-        h = exploration_height(t, self.p)
+        h = exploration_height(t)
         for v in range(4):
             assert h.left_limit(t.e_times[v]) == t.heights[v]
 
     def test_classical_identity(self):
         t = depth_tree(self.p, self.x)
-        assert classical_identity_error(t, self.p) == 0.0
+        assert classical_identity_error(t) == 0.0
 
     def test_breadth_same_tree_here(self):
         t = breadth_tree(self.p, self.x)
@@ -338,7 +338,7 @@ class TestSingleVertex:
         bt = breadth_tree(p, [0.4])
         pairs = generation_weights(bt, exc, p)
         assert pairs == [(pytest.approx(1.0), pytest.approx(0.0))]
-        h = exploration_height(dt, p)
+        h = exploration_height(dt)
         assert h.value(0.5) == 0.0
         assert exploration_gap(p, RngState(0)) == 0.0
 
@@ -358,7 +358,7 @@ class TestRandomRealizationIdentities:
             assert claim_margin(bt) < 0.0 and claim_margin(dt) < 0.0
             generation_weights(bt, exc, p)
             width_profile(bt, p, exc)
-            assert classical_identity_error(dt, p) == 0.0
+            assert classical_identity_error(dt) == 0.0
             ce = corrected_pending_error(dt, exc, p)
             if ce is not None:
                 assert ce <= IDENTITY_TOL
@@ -381,7 +381,7 @@ class TestRandomRealizationIdentities:
         for k in range(30):
             x = sample_positions(p.n, RngState(24, k))
             dt = depth_tree(p, x)
-            h = exploration_height(dt, p)
+            h = exploration_height(dt)
             g = RngState(25, k).gen
             u1, u2 = np.sort(g.random(2))
             idx1 = int(np.searchsorted(dt.visit_cum, u1, side="left")) - 1
