@@ -38,7 +38,8 @@ class Config:
 
     def __post_init__(self):
         for flag, value, low in (("--n", self.n, 1), ("--samples", self.samples, 1),
-                                 ("--grid", self.grid, 2), ("--J", self.leaves, 1)):
+                                 ("--grid", self.grid, 2), ("--J", self.leaves, 1),
+                                 ("--seed", self.seed, 0)):
             if value is not None and value < low:
                 raise ValueError(f"{flag} must be >= {low}, got {value}")
         if self.theta is not None and not self.uniform and self.n is not None:
@@ -132,7 +133,8 @@ def cmd_verify(args) -> int:
     try:
         # identities and theorem2 build the reference vector at --n
         Config(theta=REFERENCE_THETA if args.suite in ("identities", "theorem2") else None,
-               n=args.n, samples=args.samples, grid=args.grid, leaves=args.J)
+               n=args.n, samples=args.samples, grid=args.grid, leaves=args.J,
+               seed=args.seed)
     except ValueError as e:
         return _usage_error(str(e))
     if args.suite == "jeulin" and args.samples == 1:

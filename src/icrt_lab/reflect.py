@@ -19,7 +19,6 @@ from .paths import (
     Theta,
     build_ei_bridge,
     combine,
-    cyclic_shift,
     first_passage_below,
     running_infimum_forward,
     sample_brownian_bridge,
@@ -38,18 +37,16 @@ class JumpInterval:
     t_open: float
     t_close: float
     size: float
-    closed: bool = True  # False when no return happens by the domain end
 
 
-def jump_intervals(x: CadlagPath, strict: bool = True) -> list[JumpInterval]:
+def jump_intervals(x: CadlagPath) -> list[JumpInterval]:
     """One interval per upward jump of x, closed at the first passage back
     to the pre-jump level.  The collection is laminar.
 
-    With strict=True the input must be excursion-like (raises
-    NotExcursionError if it dips below -1e-9); with strict=False a missing
-    return is clamped to the domain end.
+    The input must be excursion-like: raises NotExcursionError if it dips
+    below -1e-9 or a jump never returns to its base level.
     """
-    if strict and x.min_value() < -EXCURSION_DIP_TOL:
+    if x.min_value() < -EXCURSION_DIP_TOL:
         raise NotExcursionError(f"path dips to {x.min_value():.3g}")
     out = []
     times, sizes = x.jumps()
@@ -59,12 +56,9 @@ def jump_intervals(x: CadlagPath, strict: bool = True) -> list[JumpInterval]:
             continue
         level = x.left_limit(t_j)
         t_close = first_passage_below(x, t_j, level)
-        closed = t_close is not None
-        if not closed:
-            if strict:
-                raise NotExcursionError(f"jump at {t_j} never returns to its base level")
-            t_close = x.t1
-        out.append(JumpInterval(idx, float(t_j), float(t_close), float(s), closed))
+        if t_close is None:
+            raise NotExcursionError(f"jump at {t_j} never returns to its base level")
+        out.append(JumpInterval(idx, float(t_j), float(t_close), float(s)))
         idx += 1
     return out
 
@@ -81,29 +75,25 @@ def reflect_component(x: CadlagPath, iv: JumpInterval) -> CadlagPath:
     left = inner.left - level
     right = inner.right - level
     left[0] = 0.0  # support boundary: zero before the jump
-    if iv.closed:
-        # the running infimum meets the level at t_close up to solver rounding
-        left[-1] = right[-1] = 0.0
-    pre_t, pre_l, pre_r = [x.t0], [0.0], [0.0]
-    if iv.t_open == x.t0:
-        pre_t, pre_l, pre_r = [], [], []
-    post_t, post_l, post_r = [x.t1], [0.0 if iv.closed else left[-1]], [0.0 if iv.closed else right[-1]]
-    if iv.t_close == x.t1:
-        post_t, post_l, post_r = [], [], []
+    # the running infimum meets the level at t_close up to solver rounding
+    left[-1] = right[-1] = 0.0
+    pre = [x.t0] if iv.t_open != x.t0 else []
+    post = [x.t1] if iv.t_close != x.t1 else []
+    pre_zero, post_zero = [0.0] * len(pre), [0.0] * len(post)
     return CadlagPath(
-        np.concatenate([pre_t, t, post_t]),
-        np.concatenate([pre_l, left, post_l]),
-        np.concatenate([pre_r, right, post_r]),
+        np.concatenate([pre, t, post]),
+        np.concatenate([pre_zero, left, post_zero]),
+        np.concatenate([pre_zero, right, post_zero]),
     )
 
 
-def reflected_excursion(x: CadlagPath, strict: bool = True) -> CadlagPath:
+def reflected_excursion(x: CadlagPath) -> CadlagPath:
     """Subtract every jump's reflect_component from x.
 
     For an excursion-type input the result is continuous (each jump cancels
     exactly), nonnegative, and shares x's endpoints.
     """
-    ivs = jump_intervals(x, strict=strict)
+    ivs = jump_intervals(x)
     if not ivs:
         return x
     comps = [reflect_component(x, iv) for iv in ivs]
@@ -147,40 +137,25 @@ def sample_reflected(theta: Theta, m: int, rng: RngState) -> CadlagPath:
 
 
 def truncated_coupling(theta: Theta, keep: int, bridge: CadlagPath,
-                       jump_times, device: str = "partial"
-                       ) -> tuple[CadlagPath, CadlagPath]:
+                       jump_times) -> tuple[CadlagPath, CadlagPath]:
     """Coupled pair (truncated, full) of reflected excursions.
 
-    Both use the same bridge and jump times.  With device="partial" the
-    truncated path subtracts only the `keep` largest atoms' reflection
-    components from the shared excursion: these are the pointwise
-    decreasing approximants of the reflected process, so the uniform gap
-    equals the norm of the dropped components, is bounded by the dropped
-    atoms' total size, and is nonincreasing in `keep` on every realization.
-
-    With device="shifted" the truncated path is rebuilt from the bridge
-    with the atom sum truncated and relocated at the FULL path's infimum
-    time; the atom-tail bound still holds empirically but the gap need not
-    be monotone realization by realization.
+    Both use the same bridge and jump times.  The truncated path subtracts
+    only the `keep` largest atoms' reflection components from the shared
+    excursion: these are the pointwise decreasing approximants of the
+    reflected process, so the uniform gap equals the norm of the dropped
+    components, is bounded by the dropped atoms' total size, and is
+    nonincreasing in `keep` on every realization.
     """
     if not 0 <= keep <= theta.length:
         raise ValueError("keep must be between 0 and the number of atoms")
     jump_times = [float(u) for u in jump_times]
-    x_full, t_min = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=jump_times))
+    x_full, _ = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=jump_times))
     y_full = reflected_excursion(x_full)
-    if device == "partial":
-        ivs = jump_intervals(x_full)
-        sizes = sorted((iv.size for iv in ivs), reverse=True)
-        cutoff = sizes[keep - 1] if keep >= 1 else float("inf")
-        kept = [iv for iv in ivs if iv.size >= cutoff][:keep] if keep else []
-        comps = [reflect_component(x_full, iv) for iv in kept]
-        y_trunc = combine([x_full] + comps, [1.0] + [-1.0] * len(comps)) if comps else x_full
-        return y_trunc, y_full
-    if device != "shifted":
-        raise ValueError("device must be 'partial' or 'shifted'")
-    part = Theta(theta0=theta.theta0, atoms=theta.atoms[:keep])
-    trunc_ei = build_ei_bridge(part, bridge, jump_times=jump_times[:keep])
-    base_trunc = float(trunc_ei.left_limit(t_min)) if t_min > 0.0 else float(trunc_ei.right[0])
-    x_trunc = cyclic_shift(trunc_ei, t_min, base_trunc)
-    y_trunc = reflected_excursion(x_trunc, strict=False)
+    ivs = jump_intervals(x_full)
+    sizes = sorted((iv.size for iv in ivs), reverse=True)
+    cutoff = sizes[keep - 1] if keep >= 1 else float("inf")
+    kept = [iv for iv in ivs if iv.size >= cutoff][:keep] if keep else []
+    comps = [reflect_component(x_full, iv) for iv in kept]
+    y_trunc = combine([x_full] + comps, [1.0] + [-1.0] * len(comps)) if comps else x_full
     return y_trunc, y_full

@@ -86,8 +86,7 @@ def ks_two_sample(a, b, suite: str = "ks", seed: int | None = None) -> TestRepor
                       n_samples=int(min(a.size, b.size)), seed=seed)
 
 
-def chi_square_gof(counts, expected_probs, suite: str = "chi2",
-                   seed: int | None = None) -> TestReport:
+def chi_square_gof(counts, expected_probs, suite: str = "chi2") -> TestReport:
     """Pearson chi-square against fixed cell probabilities, dof = cells - 1."""
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray(expected_probs, dtype=float)
@@ -103,8 +102,7 @@ def chi_square_gof(counts, expected_probs, suite: str = "chi2",
     dof = counts.size - 1
     p = float(chdtrc(dof, stat))
     return TestReport(suite=suite, statistic=stat, p_value=p, passed=p > ALPHA,
-                      n_samples=int(total), seed=seed,
-                      extra={"dof": dof})
+                      n_samples=int(total), extra={"dof": dof})
 
 
 # ---------------------------------------------------------------------------

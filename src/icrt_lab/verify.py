@@ -1,11 +1,17 @@
 """Verification suites: exact identities, law checks, and limit diagnostics.
 
-Each suite returns (reports, passed).  Statistical checks that fail are
-re-run once with a fresh seed before flagging (a multiple-testing guard);
-both outcomes are logged and the retry decides.
+Each suite returns (reports, passed) from one replicate helper,
+`_run_checks`.  Every stream is named off `RngState(seed)` by (attempt,
+suite/side, replicate, rejection), so the samples of a comparison never
+share one.  A failing statistical check is re-run once on attempt 1 at the
+same seed (a multiple-testing guard); both outcomes are logged and the
+retry decides.  Exact checks are not retried.
 """
 
 from __future__ import annotations
+
+import zlib
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +38,13 @@ from .ptree import (
     width_at_quantile,
     width_profile,
 )
-from .reflect import sample_excursion, sample_reflected, truncated_coupling
+from .reflect import (
+    infimum_range_measure,
+    reflected_excursion,
+    sample_excursion,
+    sample_reflected,
+    truncated_coupling,
+)
 from .rng import RngState
 from .stats import (
     MONITORING_BETA,
@@ -48,17 +60,46 @@ REFERENCE_THETA = validate_theta(0.862, (0.345, 0.302, 0.216))
 BROWNIAN_THETA = validate_theta(1.0, ())
 
 IDENTITY_TOL = 1e-9
-RETRY_OFFSET = 1000
 
 
-def _with_retry(build, seed: int) -> list[TestReport]:
-    """Run a statistical check; on failure re-run once at a fresh seed."""
-    rep = build(seed)
-    if rep.passed:
-        return [rep]
-    rep2 = build(seed + RETRY_OFFSET)
-    rep2.extra.update({"retried": True, "first_p": rep.p_value})
-    return [rep, rep2]
+def _stream(rng: RngState, side: str, k: int = 0, rejection: int = 0) -> RngState:
+    """Replicate k of the named side, redrawn `rejection` times, derived
+    from the attempt stream `rng`.  The name enters as its CRC-32, which,
+    unlike the salted `hash`, is the same in every process."""
+    return rng.child(zlib.crc32(side.encode()), k, rejection)
+
+
+def _run_checks(seed: int, checks, retry: bool = True):
+    """Run `checks`, a list of (build, check) pairs, at `seed`.
+
+    build(rng) makes the data of one attempt from that attempt's stream
+    `RngState(seed).child(attempt)`, at most once per attempt; every check
+    naming it reads the same data.  check(data) returns a TestReport.  With
+    `retry`, a failing check runs once more on attempt 1; that report
+    carries `retried` and the first p-value, and decides.
+    """
+    root = RngState(seed)
+    made = {}
+    reports = []
+    all_ok = True
+    for build, check in checks:
+        for attempt in (0, 1):
+            if (build, attempt) not in made:
+                made[build, attempt] = build(root.child(attempt))
+            rep = check(made[build, attempt])
+            rep.seed = seed
+            if attempt:
+                rep.extra.update({"retried": True, "first_p": reports[-1].p_value})
+            reports.append(rep)
+            if rep.passed or not retry:
+                break
+        all_ok &= rep.passed
+    return reports, all_ok
+
+
+def _as_built(report: TestReport) -> TestReport:
+    """The check of a build that makes its own report."""
+    return report
 
 
 def _amax(values) -> float:
@@ -75,78 +116,69 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0,
     heavy-atom probability vectors alternating."""
     p_uniform = uniform_pseq(n)
     p_heavy = approximating_pseq(REFERENCE_THETA, n)
-    errs = {"pending": [], "generation": [], "width": [], "claim": [],
-            "classical": [], "corrected": []}
-    hypothesis_skips = 0
-    for r in range(reps):
-        p = p_uniform if r % 2 == 0 else p_heavy
-        rng = RngState(seed, r)
-        x = sample_positions(p.n, rng)
-        exc, _, _ = particle_excursion(p, x)
-        bt = breadth_tree(p, x)
-        bt.validate()
-        errs["generation"].append(generation_error(bt, exc, p))
-        w_fn, wbar_fn = width_profile(bt, p)
-        errs["width"].append(_amax(np.abs(exc.value(wbar_fn.values) - w_fn.values)))
-        errs["claim"].append(max(claim_margin(bt), 0.0))
-        dt = depth_tree(p, x)
-        dt.validate()
-        errs["pending"].append(pending_mass_error(dt, exc, p))
-        errs["claim"].append(max(claim_margin(dt), 0.0))
-        errs["classical"].append(classical_identity_error(dt))
-        ce = corrected_pending_error(dt, exc, p)
-        if ce is None:
-            hypothesis_skips += 1
-        else:
-            errs["corrected"].append(ce)
-    reports = []
-    all_ok = True
-    for name, vals in errs.items():
-        worst = _amax(vals)
+    names = ("pending", "generation", "width", "claim", "classical", "corrected")
+
+    def build(rng):
+        errs = {name: [] for name in names}
+        hypothesis_skips = 0
+        for r in range(reps):
+            p = p_uniform if r % 2 == 0 else p_heavy
+            x = sample_positions(p.n, _stream(rng, "identities", r))
+            exc, _, _ = particle_excursion(p, x)
+            bt = breadth_tree(p, x)
+            bt.validate()
+            errs["generation"].append(generation_error(bt, exc, p))
+            w_fn, wbar_fn = width_profile(bt, p)
+            errs["width"].append(_amax(np.abs(exc.value(wbar_fn.values) - w_fn.values)))
+            errs["claim"].append(max(claim_margin(bt), 0.0))
+            dt = depth_tree(p, x)
+            dt.validate()
+            errs["pending"].append(pending_mass_error(dt, exc, p))
+            errs["claim"].append(max(claim_margin(dt), 0.0))
+            errs["classical"].append(classical_identity_error(dt))
+            ce = corrected_pending_error(dt, exc, p)
+            if ce is None:
+                hypothesis_skips += 1
+            else:
+                errs["corrected"].append(ce)
+        return errs, hypothesis_skips
+
+    def check(data, name):
+        errs, hypothesis_skips = data
+        worst = _amax(errs[name])
         ok = worst <= tol
-        rep = TestReport(suite=f"identities/{name}", statistic=worst,
-                         p_value=1.0 if ok else 0.0, passed=ok,
-                         n_samples=len(vals), seed=seed,
-                         extra={"tol": tol, "n": n,
-                                "hypothesis_skips": hypothesis_skips if name == "corrected" else 0})
-        all_ok &= rep.passed
-        reports.append(rep)
-    return reports, all_ok
+        return TestReport(suite=f"identities/{name}", statistic=worst,
+                          p_value=1.0 if ok else 0.0, passed=ok, n_samples=len(errs[name]),
+                          extra={"tol": tol, "n": n,
+                                 "hypothesis_skips": hypothesis_skips if name == "corrected" else 0})
+
+    return _run_checks(seed, [(build, partial(check, name=name)) for name in names],
+                       retry=False)
 
 
 # ---------------------------------------------------------------------------
 # 2. law of the constructions
 # ---------------------------------------------------------------------------
 
-def _tree_law_report(p: PSeq, kind: str, samples: int, seed: int) -> TestReport:
+def _tree_law_report(p: PSeq, kind: str, samples: int, rng: RngState) -> TestReport:
+    suite = f"tree-law/{kind}-n{p.n}"
     trees = list(enumerate_parent_arrays(p.n))
     index = {t: i for i, t in enumerate(trees)}
     probs = np.array([ptree_probability(np.array(t), p) for t in trees])
     counts = np.zeros(len(trees))
     build = breadth_tree if kind == "breadth" else depth_tree
-    rng = RngState(seed, 77 if kind == "breadth" else 78)
+    stream = _stream(rng, suite)
     for _ in range(samples):
-        tr = build(p, sample_positions(p.n, rng))
+        tr = build(p, sample_positions(p.n, stream))
         counts[index[tr.parent_key()]] += 1
-    rep = chi_square_gof(counts, probs, suite=f"tree-law/{kind}-n{p.n}", seed=seed)
-    return rep
+    return chi_square_gof(counts, probs, suite=suite)
 
 
 def suite_tree_law(samples: int = 100_000, seed: int = 0):
     """Chi-square of both constructions against enumerated probabilities."""
-    cases = [
-        (uniform_pseq(3), "breadth"),
-        (uniform_pseq(3), "depth"),
-        (PSeq(np.array([0.4, 0.3, 0.2, 0.1])), "breadth"),
-        (PSeq(np.array([0.4, 0.3, 0.2, 0.1])), "depth"),
-    ]
-    reports = []
-    all_ok = True
-    for p, kind in cases:
-        reps = _with_retry(lambda s, p=p, kind=kind: _tree_law_report(p, kind, samples, s), seed)
-        reports.extend(reps)
-        all_ok &= reps[-1].passed
-    return reports, all_ok
+    p3, p4 = uniform_pseq(3), PSeq(np.array([0.4, 0.3, 0.2, 0.1]))
+    return _run_checks(seed, [(partial(_tree_law_report, p, kind, samples), _as_built)
+                              for p in (p3, p4) for kind in ("breadth", "depth")])
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +186,7 @@ def suite_tree_law(samples: int = 100_000, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 def _function_tree_summaries(theta, grid: int, replicates: int, leaves_list,
-                             seed: int):
+                             rng: RngState, side: str):
     """Per-replicate (total length, leaf-1 depth) of function-sampled trees
     from the scaled reflected excursion, for each leaf count.
 
@@ -167,20 +199,21 @@ def _function_tree_summaries(theta, grid: int, replicates: int, leaves_list,
     shift = scale * MONITORING_BETA / np.sqrt(grid)
     out = {j: np.empty((replicates, 2)) for j in leaves_list}
     for k in range(replicates):
-        rng = RngState(seed, k)
-        path = sample_reflected(theta, grid, rng).scale_values(scale)
+        stream = _stream(rng, side, k)
+        path = sample_reflected(theta, grid, stream).scale_values(scale)
         for j in leaves_list:
-            u = rng.gen.random(j)
+            u = stream.gen.random(j)
             et = sample_function_tree(path, u, leaf_shift=shift)
             out[j][k, 0] = et.total_length()
             out[j][k, 1] = et.leaf_depths()[0]
     return out
 
 
-def _line_breaking_summaries(theta, leaves: int, replicates: int, seed: int):
+def _line_breaking_summaries(theta, leaves: int, replicates: int, rng: RngState,
+                             side: str):
     out = np.empty((replicates, 2))
     for k in range(replicates):
-        et = line_breaking_tree(theta, leaves, RngState(seed, 500_000 + k))
+        et = line_breaking_tree(theta, leaves, _stream(rng, side, k))
         out[k, 0] = et.total_length()
         out[k, 1] = et.leaf_depths()[0]
     return out
@@ -190,51 +223,45 @@ def suite_theorem1(replicates: int = 10_000, grid: int = 2 ** 14, seed: int = 0,
                    leaves_list=(1, 2, 3)):
     """Reduced trees sampled from the scaled reflected excursion match the
     line-breaking law, for the Brownian and the reference parameters."""
-    reports = []
-    all_ok = True
+    checks = []
     for name, theta in [("brownian", BROWNIAN_THETA), ("reference", REFERENCE_THETA)]:
-        def build_all(s, theta=theta, name=name):
-            fn = _function_tree_summaries(theta, grid, replicates, leaves_list, s)
-            per = {}
-            for j in leaves_list:
-                lb = _line_breaking_summaries(theta, j, replicates, s)
-                per[j] = (fn[j], lb)
-            return per
-        cache = {seed: build_all(seed)}
+        def build(rng, theta=theta, name=name):
+            fn = _function_tree_summaries(theta, grid, replicates, leaves_list, rng,
+                                          f"theorem1/{name}/function")
+            return {j: (fn[j], _line_breaking_summaries(
+                        theta, j, replicates, rng, f"theorem1/{name}/line-breaking-J{j}"))
+                    for j in leaves_list}
+
         for j in leaves_list:
             for col, stat in [(0, "total-length"), (1, "leaf-depth")]:
-                def check(s, j=j, col=col, stat=stat, name=name):
-                    if s not in cache:
-                        cache[s] = build_all(s)
-                    fn, lb = cache[s][j]
+                def check(per, j=j, col=col, stat=stat, name=name):
+                    fn, lb = per[j]
                     return ks_two_sample(fn[:, col], lb[:, col],
-                                         suite=f"theorem1/{name}-J{j}-{stat}", seed=s)
-                reps = _with_retry(check, seed)
-                reports.extend(reps)
-                all_ok &= reps[-1].passed
-    return reports, all_ok
+                                         suite=f"theorem1/{name}-J{j}-{stat}")
+                checks.append((build, check))
+    return _run_checks(seed, checks)
 
 
 # ---------------------------------------------------------------------------
 # 4. spanning reduction vs line breaking
 # ---------------------------------------------------------------------------
 
-def _spanning_summaries(p: PSeq, leaves: int, replicates: int, seed: int):
+def _spanning_summaries(p: PSeq, leaves: int, replicates: int, rng: RngState):
     sigma = p.sigma
     out = np.empty((replicates, 2))
     rejects = 0
     for k in range(replicates):
-        attempt = 0
+        rejection = 0
         while True:
-            rng = RngState(seed, (k << 6) + attempt)
+            stream = _stream(rng, "theorem2/spanning", k, rejection)
             try:
-                x = sample_positions(p.n, rng)
+                x = sample_positions(p.n, stream)
                 tr = breadth_tree(p, x)
-                et = spanning_subtree(tr, p, leaves, rng)
+                et = spanning_subtree(tr, p, leaves, stream)
                 break
             except (DuplicateSampleError, DegenerateError, TieError):
                 rejects += 1
-                attempt += 1
+                rejection += 1
         st = et.scale_lengths(sigma)
         out[k, 0] = st.total_length()
         out[k, 1] = st.leaf_depths()[0]
@@ -248,48 +275,39 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
     line-breaking law; the width profile read at a fixed mass quantile
     matches the excursion marginal."""
     p = approximating_pseq(REFERENCE_THETA, n)
-    reports = []
-    all_ok = True
 
-    def build_sides(s):
-        sp, rejects = _spanning_summaries(p, leaves, replicates, s)
-        lb = _line_breaking_summaries(REFERENCE_THETA, leaves, replicates, s)
+    def build_sides(rng):
+        sp, rejects = _spanning_summaries(p, leaves, replicates, rng)
+        lb = _line_breaking_summaries(REFERENCE_THETA, leaves, replicates, rng,
+                                      "theorem2/line-breaking")
         return sp, lb, rejects
 
-    cache = {}
-    for col, stat in [(0, "total-length"), (1, "leaf-depth")]:
-        def check(s, col=col, stat=stat):
-            if s not in cache:
-                cache[s] = build_sides(s)
-            sp, lb, rejects = cache[s]
-            rep = ks_two_sample(sp[:, col], lb[:, col],
-                                suite=f"theorem2/spanning-{stat}", seed=s)
-            rep.extra["resample_count"] = rejects
-            return rep
-        reps = _with_retry(check, seed)
-        reports.extend(reps)
-        all_ok &= reps[-1].passed
+    def spanning_check(sides, col, stat):
+        sp, lb, rejects = sides
+        rep = ks_two_sample(sp[:, col], lb[:, col], suite=f"theorem2/spanning-{stat}")
+        rep.extra["resample_count"] = rejects
+        return rep
 
-    def marginal_check(s):
+    def marginal_report(rng):
         u_star = 0.5
         pm = approximating_pseq(REFERENCE_THETA, marginal_n)
         widths = np.empty(marginal_reps)
         for k in range(marginal_reps):
-            rng = RngState(s, 900_000 + k)
-            tr = breadth_tree(pm, sample_positions(pm.n, rng))
+            stream = _stream(rng, "theorem2/width-marginal/tree", k)
+            tr = breadth_tree(pm, sample_positions(pm.n, stream))
             w_fn, wbar_fn = width_profile(tr, pm)
             widths[k] = width_at_quantile(w_fn, wbar_fn, u_star) / pm.sigma
         marginals = np.empty(marginal_reps)
         eps = MONITORING_BETA / np.sqrt(marginal_grid)  # grid-minimum re-base offset
         for k in range(marginal_reps):
-            exc = sample_excursion(REFERENCE_THETA, marginal_grid, RngState(s, 990_000 + k))
+            exc = sample_excursion(REFERENCE_THETA, marginal_grid,
+                                   _stream(rng, "theorem2/width-marginal/excursion", k))
             marginals[k] = exc.value(u_star) + eps
-        return ks_two_sample(widths, marginals, suite="theorem2/width-marginal", seed=s)
+        return ks_two_sample(widths, marginals, suite="theorem2/width-marginal")
 
-    reps = _with_retry(marginal_check, seed)
-    reports.extend(reps)
-    all_ok &= reps[-1].passed
-    return reports, all_ok
+    return _run_checks(seed, [(build_sides, partial(spanning_check, col=0, stat="total-length")),
+                              (build_sides, partial(spanning_check, col=1, stat="leaf-depth")),
+                              (marginal_report, _as_built)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +329,10 @@ def jeulin_check(m: int, n_samples: int, rng: RngState, u: float = 0.5,
     side_a = np.empty(n_samples)
     side_b = np.empty(n_samples)
     for k in range(n_samples):
-        exc = sample_excursion(BROWNIAN_THETA, m, rng.child(2 * k))
+        exc = sample_excursion(BROWNIAN_THETA, m, _stream(rng, "jeulin/occupation", k))
         occ = time_in_band(exc, level - band / 2.0, level + band / 2.0) / band
         side_a[k] = 0.5 * occ
-        exc2 = sample_excursion(BROWNIAN_THETA, m, rng.child(2 * k + 1))
+        exc2 = sample_excursion(BROWNIAN_THETA, m, _stream(rng, "jeulin/time-change", k))
         side_b[k] = excursion_time_change(exc2, shift=eps).value_at(u)
     rep = ks_two_sample(side_a, side_b, suite="jeulin", seed=rng.seed)
     rep.extra.update({"u": u, "grid": m, "band": band, "shift": eps})
@@ -328,33 +346,28 @@ def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0,
     maximum."""
     if replicates < 2:
         raise ValueError("the height-mean check needs replicates >= 2 for a sample variance")
-    reports = []
-    reps = _with_retry(lambda s: jeulin_check(grid, replicates, RngState(s), u=u), seed)
-    reports.extend(reps)
-    all_ok = reps[-1].passed
+    eps = MONITORING_BETA / np.sqrt(grid)
 
-    def mean_check(s):
-        eps = MONITORING_BETA / np.sqrt(grid)
+    def mean_report(rng):
         totals = np.empty(replicates)
         maxes = np.empty(replicates)
         for k in range(replicates):
-            e1 = sample_excursion(BROWNIAN_THETA, grid, RngState(s, 300_000 + k))
+            e1 = sample_excursion(BROWNIAN_THETA, grid,
+                                  _stream(rng, "jeulin/height-mean/integral", k))
             totals[k] = excursion_time_change(e1, shift=eps).total
-            e2 = sample_excursion(BROWNIAN_THETA, grid, RngState(s, 600_000 + k))
+            e2 = sample_excursion(BROWNIAN_THETA, grid,
+                                  _stream(rng, "jeulin/height-mean/max", k))
             maxes[k] = 2.0 * (e2.max_value() + eps)
         diff = abs(totals.mean() - maxes.mean())
         se = float(np.sqrt(totals.var(ddof=1) / replicates + maxes.var(ddof=1) / replicates))
         ok = diff <= 3.0 * se
         return TestReport(suite="jeulin/height-mean", statistic=diff / se if se else 0.0,
-                          p_value=1.0 if ok else 0.0, passed=ok,
-                          n_samples=replicates, seed=s,
+                          p_value=1.0 if ok else 0.0, passed=ok, n_samples=replicates,
                           extra={"mean_integral": totals.mean(), "mean_2max": maxes.mean(),
                                  "combined_se": se})
 
-    reps = _with_retry(mean_check, seed)
-    reports.extend(reps)
-    all_ok &= reps[-1].passed
-    return reports, all_ok
+    return _run_checks(seed, [(partial(jeulin_check, grid, replicates, u=u), _as_built),
+                              (mean_report, _as_built)])
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +377,20 @@ def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0,
 def suite_pkey(ns=(1000, 10_000, 100_000), reps: int = 200, seed: int = 0):
     """Median uniform gap between scaled height and corrected excursion
     decreases strictly along the n ladder."""
-    medians = []
-    for i, n in enumerate(ns):
-        p = approximating_pseq(REFERENCE_THETA, n)
-        gaps = [exploration_gap(p, RngState(seed, (i << 20) + k)) for k in range(reps)]
-        medians.append(float(np.median(gaps)))
-    ok = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
-    rep = TestReport(suite="pkey/median-trend",
-                     statistic=max(medians[i + 1] / medians[i] for i in range(len(medians) - 1)),
-                     p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps, seed=seed,
-                     extra={"ns": list(ns), "medians": medians})
-    return [rep], rep.passed
+    def report(rng):
+        medians = []
+        for n in ns:
+            p = approximating_pseq(REFERENCE_THETA, n)
+            gaps = [exploration_gap(p, _stream(rng, f"pkey/n{n}", k)) for k in range(reps)]
+            medians.append(float(np.median(gaps)))
+        ok = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
+        return TestReport(suite="pkey/median-trend",
+                          statistic=max(medians[i + 1] / medians[i]
+                                        for i in range(len(medians) - 1)),
+                          p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps,
+                          extra={"ns": list(ns), "medians": medians})
+
+    return _run_checks(seed, [(report, _as_built)], retry=False)
 
 
 # ---------------------------------------------------------------------------
@@ -388,25 +404,28 @@ def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0,
     theta = REFERENCE_THETA
     atoms = theta.atoms
     tails = {k: sum(atoms[k:]) for k in range(1, len(atoms) + 1)}
-    worst_excess = -np.inf
-    mono_fail = 0
-    for r in range(reps):
-        rng = RngState(seed, r)
-        bridge = sample_brownian_bridge(grid, rng)
-        us = [float(rng.gen.uniform()) for _ in atoms]
-        dists = []
-        for keep in range(1, len(atoms) + 1):
-            y_trunc, y_full = truncated_coupling(theta, keep, bridge, us)
-            d = sup_distance(y_trunc, y_full)
-            worst_excess = max(worst_excess, d - tails[keep])
-            dists.append(d)
-        if any(dists[i + 1] > dists[i] + tol for i in range(len(dists) - 1)):
-            mono_fail += 1
-    ok = worst_excess <= tol and mono_fail == 0
-    rep = TestReport(suite="unifconv/coupling", statistic=float(worst_excess),
-                     p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps,
-                     seed=seed, extra={"monotonicity_failures": mono_fail, "tol": tol})
-    return [rep], rep.passed
+
+    def report(rng):
+        worst_excess = -np.inf
+        mono_fail = 0
+        for r in range(reps):
+            stream = _stream(rng, "unifconv", r)
+            bridge = sample_brownian_bridge(grid, stream)
+            us = [float(stream.gen.uniform()) for _ in atoms]
+            dists = []
+            for keep in range(1, len(atoms) + 1):
+                y_trunc, y_full = truncated_coupling(theta, keep, bridge, us)
+                d = sup_distance(y_trunc, y_full)
+                worst_excess = max(worst_excess, d - tails[keep])
+                dists.append(d)
+            if any(dists[i + 1] > dists[i] + tol for i in range(len(dists) - 1)):
+                mono_fail += 1
+        ok = worst_excess <= tol and mono_fail == 0
+        return TestReport(suite="unifconv/coupling", statistic=float(worst_excess),
+                          p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps,
+                          extra={"monotonicity_failures": mono_fail, "tol": tol})
+
+    return _run_checks(seed, [(report, _as_built)], retry=False)
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +436,18 @@ def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
     """First-repeat index minus two matches the height of a drawn vertex."""
     p = uniform_pseq(n)
 
-    def check(s):
-        rng_a = RngState(s, 1)
+    def report(rng):
+        rng_a = _stream(rng, "repeat-time/first-repeat")
         side_a = np.array([repeat_time_sample(p, rng_a)[0] - 2 for _ in range(replicates)])
         side_b = np.empty(replicates, dtype=np.int64)
         for k in range(replicates):
-            rng = RngState(s, 100 + k)
-            tr = breadth_tree(p, sample_positions(n, rng))
-            v = int(p.draw(rng))
+            stream = _stream(rng, "repeat-time/height", k)
+            tr = breadth_tree(p, sample_positions(n, stream))
+            v = int(p.draw(stream))
             side_b[k] = tr.heights[v]
-        return ks_two_sample(side_a, side_b, suite="repeat-time", seed=s)
+        return ks_two_sample(side_a, side_b, suite="repeat-time")
 
-    reps = _with_retry(check, seed)
-    return reps, reps[-1].passed
+    return _run_checks(seed, [(report, _as_built)])
 
 
 # ---------------------------------------------------------------------------
@@ -439,22 +457,20 @@ def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
 def suite_y_oracle(reps: int = 100, grid: int = 2 ** 12, seed: int = 0,
                    grid_points: int = 100, tol: float = IDENTITY_TOL):
     """Reflected excursion agrees with the range-measure representation."""
-    from .reflect import infimum_range_measure, reflected_excursion
-
-    worst = 0.0
-    for r in range(reps):
-        theta = BROWNIAN_THETA if r % 2 == 0 else REFERENCE_THETA
-        rng = RngState(seed, r)
-        exc = sample_excursion(theta, grid, rng)
-        y = reflected_excursion(exc)
+    def report(rng):
+        worst = 0.0
         ss = (np.arange(grid_points) + 0.5) / grid_points
-        for s in ss:
-            worst = max(worst, abs(y.value(s) - infimum_range_measure(exc, float(s))))
-    ok = worst <= tol
-    rep = TestReport(suite="y-oracle", statistic=worst, p_value=1.0 if ok else 0.0,
-                     passed=ok, n_samples=reps * grid_points, seed=seed,
-                     extra={"tol": tol})
-    return [rep], rep.passed
+        for r in range(reps):
+            theta = BROWNIAN_THETA if r % 2 == 0 else REFERENCE_THETA
+            exc = sample_excursion(theta, grid, _stream(rng, "y-oracle", r))
+            y = reflected_excursion(exc)
+            for s in ss:
+                worst = max(worst, abs(y.value(s) - infimum_range_measure(exc, float(s))))
+        ok = worst <= tol
+        return TestReport(suite="y-oracle", statistic=worst, p_value=1.0 if ok else 0.0,
+                          passed=ok, n_samples=reps * grid_points, extra={"tol": tol})
+
+    return _run_checks(seed, [(report, _as_built)], retry=False)
 
 
 SUITES = {

@@ -2,7 +2,8 @@
 
 Runs the full desk-scale verification (several minutes).  Each test prints
 one PASS/FAIL line; statistical checks run at significance 0.01 with a
-single fresh-seed retry (logged) guarding against multiple-testing noise.
+single retry on independent streams of the same seed (logged) guarding
+against multiple-testing noise.
 """
 
 import time

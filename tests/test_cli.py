@@ -139,6 +139,10 @@ REFERENCE = "0.862,0.345,0.302,0.216"
                  id="verify-btree-law-samples"),
     pytest.param(["verify", "jeulin", "--grid", "64", "--samples", "1"],
                  "--samples must be >= 2 for jeulin", id="verify-jeulin-samples"),
+    pytest.param(["sample", "bridge", "--grid", "8", "--seed", "-1"], "--seed must be >= 0",
+                 id="sample-bridge-seed"),
+    pytest.param(["verify", "y-oracle", "--samples", "2", "--grid", "64", "--seed", "-3"],
+                 "--seed must be >= 0", id="verify-y-oracle-seed"),
 ])
 def test_bad_input_exits_2(argv, message, capsys):
     assert run_cli(argv) == 2

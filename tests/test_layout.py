@@ -2,7 +2,8 @@
 
 `stats` is a leaf: it holds the tests and path functionals and imports no
 sampler.  No module except the package's `__init__` (which re-exports)
-imports a name it does not use.
+imports a name it does not use.  `verify` builds `RngState` in one
+function and names its streams, never numbering them by offsets.
 """
 
 import ast
@@ -50,3 +51,42 @@ def test_stats_imports_only_paths_and_errors():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(_tree(path)) == []
+
+
+def _rng_calls(tree: ast.Module):
+    """(enclosing function, callee name, call) for every `RngState(...)`,
+    `.child(...)` and `_stream(...)` call; the function is None at module
+    level."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name in ("RngState", "child", "_stream"):
+                    out.append((owner, name, child))
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def test_verify_builds_rngstate_in_one_function():
+    owners = {owner for owner, name, _ in _rng_calls(_tree(PACKAGE / "verify.py"))
+              if name == "RngState"}
+    assert len(owners) == 1 and None not in owners, owners
+
+
+def test_verify_streams_have_no_integer_offsets():
+    # streams are named, never numbered: no `500_000 + k`, `(k << 6) + a`, `77`
+    bad = []
+    for owner, name, call in _rng_calls(_tree(PACKAGE / "verify.py")):
+        args = list(call.args) + [kw.value for kw in call.keywords]
+        for node in (n for a in args for n in ast.walk(a)):
+            if isinstance(node, ast.BinOp) or (isinstance(node, ast.Constant)
+                                               and type(node.value) is int):
+                bad.append(f"{name}(...) in {owner}, line {call.lineno}")
+    assert bad == []

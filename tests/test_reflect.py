@@ -170,13 +170,3 @@ class TestTruncatedCoupling:
                 y_t, y_f = truncated_coupling(reference_theta, keep, bridge, us)
                 dists.append(sup_distance(y_t, y_f))
             assert dists[0] >= dists[1] >= dists[2]
-
-    def test_shifted_device_bound(self, reference_theta):
-        # the proof's relocated-bridge device obeys the same atom-tail bound
-        tails = {1: 0.302 + 0.216, 2: 0.216, 3: 0.0}
-        for seed in range(10):
-            bridge, us = self._shared(seed, reference_theta)
-            for keep in (1, 2, 3):
-                y_t, y_f = truncated_coupling(reference_theta, keep, bridge, us,
-                                              device="shifted")
-                assert sup_distance(y_t, y_f) <= tails[keep] + 1e-9

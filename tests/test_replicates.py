@@ -1,0 +1,184 @@
+"""Random streams and the replicate helper behind the verification suites.
+
+Every suite draws from streams named (attempt, side, replicate, rejection)
+off `RngState(seed)`, and runs its checks through `verify._run_checks`,
+which builds each attempt's data once and re-runs a failing check once on
+attempt 1.
+"""
+
+import zlib
+
+import numpy as np
+import pytest
+
+from icrt_lab import verify
+from icrt_lab.rng import RngState
+from icrt_lab import stats
+
+# Tiny runs of every suite: enough to name every side each suite draws from.
+SMALL_RUNS = {
+    "identities": lambda: verify.suite_identities(n=20, reps=2, seed=5),
+    "btree-law": lambda: verify.suite_tree_law(samples=5000, seed=5),
+    "theorem1": lambda: verify.suite_theorem1(replicates=2, grid=16, seed=5),
+    "theorem2": lambda: verify.suite_theorem2(n=200, replicates=2, seed=5, marginal_n=200,
+                                              marginal_reps=2, marginal_grid=16),
+    "jeulin": lambda: verify.suite_jeulin(grid=16, replicates=2, seed=5),
+    "pkey": lambda: verify.suite_pkey(ns=(20, 40), reps=2, seed=5),
+    "unifconv": lambda: verify.suite_unifconv(reps=2, grid=16, seed=5),
+    "repeat-time": lambda: verify.suite_repeat_time(n=5, replicates=3, seed=5),
+    "y-oracle": lambda: verify.suite_y_oracle(reps=2, grid=16, seed=5, grid_points=3),
+}
+
+ATTEMPT0 = RngState(5).child(0)
+
+
+@pytest.fixture(scope="module")
+def sides():
+    """Side names each suite draws from, in order of first use."""
+    out = {}
+    real = verify._stream
+    with pytest.MonkeyPatch.context() as mp:
+        for suite, run in SMALL_RUNS.items():
+            seen = {}
+
+            def recording(rng, side, k=0, rejection=0, seen=seen):
+                seen.setdefault(side, None)
+                return real(rng, side, k, rejection)
+
+            mp.setattr(verify, "_stream", recording)
+            run()
+            out[suite] = list(seen)
+    return out
+
+
+def draws(side, k=0, rejection=0):
+    return verify._stream(ATTEMPT0, side, k, rejection).gen.random(4)
+
+
+def assert_apart(a, b):
+    assert not np.array_equal(a, b)
+
+
+class TestRngState:
+    def test_root_stream_is_unchanged(self):
+        assert np.array_equal(RngState(5, 3).gen.random(8),
+                              np.random.default_rng((5, 3)).random(8))
+
+    def test_children_are_apart_from_the_root_and_each_other(self):
+        root = RngState(5)
+        streams = [root, root.child(0), root.child(1), root.child(1, 2), root.child(1, 2, 0),
+                   root.child(2, 1), RngState(5, 1)]
+        values = [s.gen.random(4) for s in streams]
+        for i in range(len(values)):
+            for j in range(i):
+                assert_apart(values[i], values[j])
+
+    def test_child_is_deterministic(self):
+        a = RngState(9).child(3, 4)
+        b = RngState(9).child(3).child(4)
+        assert a.spawn_key == b.spawn_key == (3, 4)
+        assert np.array_equal(a.gen.random(4), b.gen.random(4))
+
+    @pytest.mark.parametrize("key", [(-1,), (2 ** 32,)])
+    def test_key_entries_outside_32_bits_raise(self, key):
+        with pytest.raises(ValueError, match="spawn key"):
+            RngState(5).child(*key)
+
+
+class TestStreamsNeverCollide:
+    def test_side_names_are_apart(self, sides):
+        names = [s for suite in sides.values() for s in suite]
+        assert all(sides.values())
+        assert len(set(names)) == len(names)
+        assert len({zlib.crc32(s.encode()) for s in names}) == len(names)
+
+    def test_jeulin_sample_and_mean_check_streams(self, sides):
+        sample, mean = sides["jeulin"][:2], sides["jeulin"][2:]
+        assert len(sample) == len(mean) == 2
+        for a in sample:
+            for b in mean:
+                assert_apart(draws(a, 150_000), draws(b, 1))
+
+    def test_theorem2_spanning_rejections(self, sides):
+        spanning = sides["theorem2"][0]
+        for k in (0, 1, 57):
+            assert_apart(draws(spanning, k, 64), draws(spanning, k + 1, 0))
+            assert_apart(draws(spanning, k, 1), draws(spanning, k + 1, 0))
+
+    def test_theorem1_function_and_line_breaking_streams(self, sides):
+        function, *line_breaking = sides["theorem1"][:4]
+        assert len(line_breaking) == 3
+        for lb in line_breaking:
+            assert_apart(draws(function, 500_000), draws(lb, 0))
+
+    def test_y_oracle_and_unifconv_bridges(self, sides):
+        (y_side,), (u_side,) = sides["y-oracle"], sides["unifconv"]
+        for r in range(4):
+            assert_apart(draws(y_side, r), draws(u_side, r))
+
+    def test_attempts_are_apart(self, sides):
+        side = sides["repeat-time"][0]
+        retry = verify._stream(RngState(5).child(1), side).gen.random(4)
+        assert_apart(draws(side), retry)
+
+
+def recording_build(value_of_attempt):
+    """A build that records the spawn key of every attempt it makes."""
+    made = []
+
+    def build(rng):
+        made.append(rng.spawn_key)
+        return value_of_attempt[rng.spawn_key[-1]]
+    return build, made
+
+
+def verdict(passed_p):
+    passed, p = passed_p
+    return stats.TestReport(suite="scripted", statistic=0.0, p_value=p, passed=passed, n_samples=1)
+
+
+class TestRunChecks:
+    def test_pass_gives_one_report(self):
+        build, made = recording_build({0: (True, 0.4)})
+        reports, ok = verify._run_checks(7, [(build, verdict)])
+        assert ok and len(reports) == 1
+        assert "retried" not in reports[0].extra and reports[0].seed == 7
+        assert made == [(0,)]
+
+    def test_fail_then_pass_gives_two_reports(self):
+        build, made = recording_build({0: (False, 0.003), 1: (True, 0.6)})
+        reports, ok = verify._run_checks(7, [(build, verdict)])
+        assert ok
+        assert [r.passed for r in reports] == [False, True]
+        assert "retried" not in reports[0].extra
+        assert reports[1].extra == {"retried": True, "first_p": 0.003}
+        assert [r.seed for r in reports] == [7, 7]
+        assert made == [(0,), (1,)]
+
+    def test_fail_twice_fails_the_suite(self):
+        build, _ = recording_build({0: (False, 0.003), 1: (False, 0.001)})
+        reports, ok = verify._run_checks(7, [(build, verdict)])
+        assert not ok
+        assert [r.passed for r in reports] == [False, False]
+        assert reports[1].extra["retried"] is True
+
+    def test_retry_build_is_made_once(self):
+        build, made = recording_build({0: (False, 0.003), 1: (True, 0.6)})
+        other, other_made = recording_build({0: (True, 0.5)})
+        reports, ok = verify._run_checks(7, [(build, verdict), (other, verdict),
+                                             (build, verdict)])
+        assert ok
+        assert [r.extra.get("retried", False) for r in reports] == [False, True, False,
+                                                                    False, True]
+        assert made == [(0,), (1,)]
+        assert other_made == [(0,)]
+
+    def test_exact_checks_are_not_retried(self):
+        build, made = recording_build({0: (False, 0.0)})
+        reports, ok = verify._run_checks(7, [(build, verdict)], retry=False)
+        assert not ok and len(reports) == 1
+        assert made == [(0,)]
+
+    def test_suite_reports_are_deterministic_in_seed(self):
+        runs = [[r.to_json() for r in SMALL_RUNS["theorem1"]()[0]] for _ in range(2)]
+        assert runs[0] == runs[1]
