@@ -18,7 +18,6 @@ from .paths import (
     CadlagPath,
     Theta,
     build_ei_bridge,
-    combine,
     first_passage_below,
     running_infimum_forward,
     sample_brownian_bridge,
@@ -87,17 +86,44 @@ def reflect_component(x: CadlagPath, iv: JumpInterval) -> CadlagPath:
     )
 
 
+def _subtract_components(x: CadlagPath, comps, ivs) -> CadlagPath:
+    """x minus every component, each subtracted only on its own window.
+
+    Bitwise the path the pointwise combination of x and the components
+    with coefficients 1, -1, ..., -1 gives on the union of their
+    breakpoints: a component is +0.0 outside [t_open, t_close], and adding
+    -0.0 changes no value, so only the union-grid points inside each window
+    are touched.  x is read at its own breakpoints and evaluated only at
+    the component breakpoints it lacks (crossing and closing times).
+    """
+    if not comps:
+        return x
+    ct = np.concatenate([c.times for c in comps])
+    pos = np.minimum(np.searchsorted(x.times, ct), len(x) - 1)
+    extra = np.unique(ct[x.times[pos] != ct])
+    at = np.searchsorted(x.times, extra)
+    t = np.insert(x.times, at, extra)
+    # 0.0 + turns -0.0 into +0.0, as summing onto a zero array does
+    left = 0.0 + np.insert(x.left, at, x.left_limit(extra))
+    right = 0.0 + np.insert(x.right, at, x.value(extra))
+    for c, iv in zip(comps, ivs):
+        lo = np.searchsorted(t, iv.t_open)
+        hi = np.searchsorted(t, iv.t_close, side="right")
+        w = t[lo:hi]
+        left[lo:hi] += -1.0 * c.left_limit(w)
+        right[lo:hi] += -1.0 * c.value(w)
+    return CadlagPath(t, left, right)
+
+
 def reflected_excursion(x: CadlagPath) -> CadlagPath:
-    """Subtract every jump's reflect_component from x.
+    """Subtract every jump's reflect_component from x, each only on its own
+    window [t_open, t_close], in interval order.
 
     For an excursion-type input the result is continuous (each jump cancels
     exactly), nonnegative, and shares x's endpoints.
     """
     ivs = jump_intervals(x)
-    if not ivs:
-        return x
-    comps = [reflect_component(x, iv) for iv in ivs]
-    return combine([x] + comps, [1.0] + [-1.0] * len(comps))
+    return _subtract_components(x, [reflect_component(x, iv) for iv in ivs], ivs)
 
 
 def infimum_range_measure(x: CadlagPath, s: float) -> float:
@@ -140,9 +166,10 @@ def truncated_coupling(theta: Theta, keep: int, bridge: CadlagPath,
                        jump_times) -> tuple[CadlagPath, CadlagPath]:
     """Coupled pair (truncated, full) of reflected excursions.
 
-    Both use the same bridge and jump times.  The truncated path subtracts
-    only the `keep` largest atoms' reflection components from the shared
-    excursion: these are the pointwise decreasing approximants of the
+    Both use the same bridge and jump times, and one set of jump intervals
+    and components.  The full path subtracts every component, the truncated
+    path only the `keep` largest atoms', each on its own window, in interval
+    order: these are the pointwise decreasing approximants of the
     reflected process, so the uniform gap equals the norm of the dropped
     components, is bounded by the dropped atoms' total size, and is
     nonincreasing in `keep` on every realization.
@@ -151,11 +178,11 @@ def truncated_coupling(theta: Theta, keep: int, bridge: CadlagPath,
         raise ValueError("keep must be between 0 and the number of atoms")
     jump_times = [float(u) for u in jump_times]
     x_full, _ = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=jump_times))
-    y_full = reflected_excursion(x_full)
     ivs = jump_intervals(x_full)
+    comps = [reflect_component(x_full, iv) for iv in ivs]
+    y_full = _subtract_components(x_full, comps, ivs)
     sizes = sorted((iv.size for iv in ivs), reverse=True)
     cutoff = sizes[keep - 1] if keep >= 1 else float("inf")
     kept = [iv for iv in ivs if iv.size >= cutoff][:keep] if keep else []
-    comps = [reflect_component(x_full, iv) for iv in kept]
-    y_trunc = combine([x_full] + comps, [1.0] + [-1.0] * len(comps)) if comps else x_full
+    y_trunc = _subtract_components(x_full, [comps[iv.index] for iv in kept], kept)
     return y_trunc, y_full

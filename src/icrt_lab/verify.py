@@ -233,7 +233,9 @@ def suite_theorem1(replicates: int = 10_000, grid: int = 2 ** 14, seed: int = 0,
                     for j in leaves_list}
 
         for j in leaves_list:
-            for col, stat in [(0, "total-length"), (1, "leaf-depth")]:
+            # a one-leaf tree is one edge: its leaf depth is its total length
+            columns = ["total-length"] if j == 1 else ["total-length", "leaf-depth"]
+            for col, stat in enumerate(columns):
                 def check(per, j=j, col=col, stat=stat, name=name):
                     fn, lb = per[j]
                     return ks_two_sample(fn[:, col], lb[:, col],

@@ -4,6 +4,9 @@
 sampler.  No module except the package's `__init__` (which re-exports)
 imports a name it does not use.  `verify` builds `RngState` in one
 function and names its streams, never numbering them by offsets.
+`reflect` subtracts reflection components in one helper, called by both
+`reflected_excursion` and `truncated_coupling`, and never through
+`paths.combine`.
 """
 
 import ast
@@ -53,10 +56,12 @@ def test_no_unused_imports(path):
     assert _unused_imports(_tree(path)) == []
 
 
-def _rng_calls(tree: ast.Module):
-    """(enclosing function, callee name, call) for every `RngState(...)`,
-    `.child(...)` and `_stream(...)` call; the function is None at module
-    level."""
+RNG_CALLS = ("RngState", "child", "_stream")
+
+
+def _calls(tree: ast.Module, names):
+    """(enclosing function, callee name, call) for every call of a name or
+    attribute in `names`; the function is None at module level."""
     out = []
 
     def visit(node, owner):
@@ -66,7 +71,7 @@ def _rng_calls(tree: ast.Module):
                 continue
             if isinstance(child, ast.Call):
                 name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name in ("RngState", "child", "_stream"):
+                if name in names:
                     out.append((owner, name, child))
             visit(child, owner)
 
@@ -75,7 +80,7 @@ def _rng_calls(tree: ast.Module):
 
 
 def test_verify_builds_rngstate_in_one_function():
-    owners = {owner for owner, name, _ in _rng_calls(_tree(PACKAGE / "verify.py"))
+    owners = {owner for owner, name, _ in _calls(_tree(PACKAGE / "verify.py"), RNG_CALLS)
               if name == "RngState"}
     assert len(owners) == 1 and None not in owners, owners
 
@@ -83,10 +88,21 @@ def test_verify_builds_rngstate_in_one_function():
 def test_verify_streams_have_no_integer_offsets():
     # streams are named, never numbered: no `500_000 + k`, `(k << 6) + a`, `77`
     bad = []
-    for owner, name, call in _rng_calls(_tree(PACKAGE / "verify.py")):
+    for owner, name, call in _calls(_tree(PACKAGE / "verify.py"), RNG_CALLS):
         args = list(call.args) + [kw.value for kw in call.keywords]
         for node in (n for a in args for n in ast.walk(a)):
             if isinstance(node, ast.BinOp) or (isinstance(node, ast.Constant)
                                                and type(node.value) is int):
                 bad.append(f"{name}(...) in {owner}, line {call.lineno}")
     assert bad == []
+
+
+def test_reflect_subtracts_components_in_one_place():
+    # one subtraction site: no pointwise combination on the whole union grid
+    tree = _tree(PACKAGE / "reflect.py")
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+    assert "combine" not in imported
+    assert _calls(tree, ("combine",)) == []
+    owners = {owner for owner, _, _ in _calls(tree, ("_subtract_components",))}
+    assert owners == {"reflected_excursion", "truncated_coupling"}

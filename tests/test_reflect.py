@@ -4,9 +4,13 @@ import pytest
 from icrt_lab.errors import NotExcursionError
 from icrt_lab.paths import (
     CadlagPath,
+    build_ei_bridge,
+    combine,
     continuous_path,
     sample_brownian_bridge,
     sup_distance,
+    theta_from_atoms,
+    vervaat_transform,
 )
 from icrt_lab.reflect import (
     infimum_range_measure,
@@ -30,6 +34,50 @@ def make_nested():
     return CadlagPath(np.array([0.0, 0.1, 0.3, 1.0]),
                       np.array([0.0, 0.2, 0.4, 0.0]),
                       np.array([0.0, 0.5, 0.6, 0.0]))
+
+
+def make_close_at_drop():
+    """One jump whose interval closes at a downward jump at a breakpoint.
+
+    Rise to 0.2 at 0.2; jump +0.3 to 0.5; decay to 0.4 at 0.5; drop to 0.1
+    there, below the pre-jump level 0.2; decay to 0 at 1.
+    """
+    return CadlagPath(np.array([0.0, 0.2, 0.5, 1.0]),
+                      np.array([0.0, 0.2, 0.4, 0.0]),
+                      np.array([0.0, 0.5, 0.1, 0.0]))
+
+
+def make_close_at_end():
+    """One jump from level 0 whose interval closes at the end of the domain.
+
+    Tent up to 0.2 at 0.25 and back to 0 at 0.5; jump +0.4; decay to 0 at 1.
+    """
+    return CadlagPath(np.array([0.0, 0.25, 0.5, 1.0]),
+                      np.array([0.0, 0.2, 0.0, 0.0]),
+                      np.array([0.0, 0.2, 0.4, 0.0]))
+
+
+def make_signed_zeros():
+    """make_single_jump with -0.0 stored at both ends, outside the window."""
+    return CadlagPath(np.array([0.0, 0.2, 1.0]),
+                      np.array([-0.0, 0.2, -0.0]),
+                      np.array([-0.0, 0.5, -0.0]))
+
+
+MANY_ATOMS = (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.0223)
+
+
+def combine_oracle(x, ivs):
+    """x minus the components of the given intervals, through the pointwise
+    combination on the whole union grid: the construction the window-only
+    subtraction replaced."""
+    comps = [reflect_component(x, iv) for iv in ivs]
+    return combine([x] + comps, [1.0] + [-1.0] * len(comps)) if comps else x
+
+
+def assert_same_bits(a, b):
+    for field in ("times", "left", "right"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
 class TestJumpIntervals:
@@ -170,3 +218,47 @@ class TestTruncatedCoupling:
                 y_t, y_f = truncated_coupling(reference_theta, keep, bridge, us)
                 dists.append(sup_distance(y_t, y_f))
             assert dists[0] >= dists[1] >= dists[2]
+
+
+class TestWindowOnlySubtraction:
+    """reflected_excursion and truncated_coupling against the combine-based
+    oracle, bit for bit."""
+
+    @pytest.mark.parametrize("make", [make_single_jump, make_nested, make_tent,
+                                      make_close_at_drop, make_close_at_end,
+                                      make_signed_zeros])
+    def test_hand_paths(self, make):
+        x = make()
+        assert_same_bits(reflected_excursion(x), combine_oracle(x, jump_intervals(x)))
+
+    def test_hand_windows_reach_their_bounds(self):
+        (iv,) = jump_intervals(make_close_at_drop())
+        assert iv.t_close == 0.5
+        (iv,) = jump_intervals(make_close_at_end())
+        assert iv.t_close == 1.0
+
+    @pytest.mark.parametrize("grid", [2, 3, 8, 64, 2 ** 10, 2 ** 14])
+    @pytest.mark.parametrize("atoms", ["reference", "many"])
+    def test_sampled_excursions(self, grid, atoms, reference_theta):
+        theta = reference_theta if atoms == "reference" else theta_from_atoms(MANY_ATOMS)
+        for k in range(4 if grid == 2 ** 14 else 20):
+            x = sample_excursion(theta, grid, RngState(19, k))
+            assert_same_bits(reflected_excursion(x), combine_oracle(x, jump_intervals(x)))
+
+    @pytest.mark.parametrize("grid", [8, 2 ** 10])
+    @pytest.mark.parametrize("atoms", ["reference", "many"])
+    def test_truncated_coupling_every_keep(self, grid, atoms, reference_theta):
+        theta = reference_theta if atoms == "reference" else theta_from_atoms(MANY_ATOMS)
+        for k in range(5):
+            rng = RngState(20, k)
+            bridge = sample_brownian_bridge(grid, rng)
+            us = [float(rng.gen.uniform()) for _ in theta.atoms]
+            x, _ = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=us))
+            ivs = jump_intervals(x)
+            sizes = sorted((iv.size for iv in ivs), reverse=True)
+            for keep in range(theta.length + 1):
+                cutoff = sizes[keep - 1] if keep >= 1 else float("inf")
+                kept = [iv for iv in ivs if iv.size >= cutoff][:keep]
+                y_t, y_f = truncated_coupling(theta, keep, bridge, us)
+                assert_same_bits(y_f, combine_oracle(x, ivs))
+                assert_same_bits(y_t, combine_oracle(x, kept))

@@ -182,3 +182,11 @@ class TestRunChecks:
     def test_suite_reports_are_deterministic_in_seed(self):
         runs = [[r.to_json() for r in SMALL_RUNS["theorem1"]()[0]] for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_theorem1_checks_are_distinct(self):
+        reports, _ = SMALL_RUNS["theorem1"]()
+        names = [r.suite for r in reports if not r.extra.get("retried", False)]
+        assert len(names) == len(set(names)) == 10
+        for theta in ("brownian", "reference"):
+            assert [n for n in names if n.startswith(f"theorem1/{theta}-J1-")] == [
+                f"theorem1/{theta}-J1-total-length"]
