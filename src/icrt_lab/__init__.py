@@ -2,7 +2,7 @@
 excursions, weight-proportional random trees, and their continuum limits."""
 
 from . import errors
-from .icrt import EdgeTree, edge_tree_stats, line_breaking_tree, sample_function_tree, spanning_subtree
+from .icrt import EdgeTree, line_breaking_tree, sample_function_tree, spanning_subtree
 from .paths import (
     CadlagPath,
     Theta,
@@ -11,7 +11,6 @@ from .paths import (
     first_passage_below,
     sample_brownian_bridge,
     sup_distance,
-    theta_from_atoms,
     validate_theta,
     vervaat_transform,
 )
@@ -26,14 +25,12 @@ from .ptree import (
     exploration_gap,
     exploration_height,
     generation_error,
-    generation_weights,
-    particle_bridge,
     particle_excursion,
     pending_mass_error,
     ptree_probability,
-    regime_diagnostics,
     repeat_time_sample,
     uniform_pseq,
+    width_error,
     width_profile,
 )
 from .reflect import (
@@ -47,14 +44,7 @@ from .reflect import (
     truncated_coupling,
 )
 from .rng import RngState
-from .stats import (
-    TestReport,
-    chi_square_gof,
-    ks_two_sample,
-    lamperti_time,
-    occupation_density,
-    time_changed_width,
-)
+from .stats import TestReport, chi_square_gof, ks_two_sample
 from .verify import jeulin_check
 
 __version__ = "0.1.0"

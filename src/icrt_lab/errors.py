@@ -33,10 +33,6 @@ class TieError(IcrtLabError):
     """Two left limits tie for the minimum; the minimizing particle is ambiguous."""
 
 
-class IdentityViolation(IcrtLabError):
-    """An exact structural identity failed beyond tolerance."""
-
-
 class DegenerateError(IcrtLabError):
     """Degenerate configuration (coincident order statistics or a root draw)."""
 

@@ -51,10 +51,6 @@ class EdgeTree:
     def n_nodes(self) -> int:
         return int(self.parent.size)
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaf_nodes)
-
     def children_lists(self) -> list:
         out = [[] for _ in range(self.n_nodes)]
         for v in range(1, self.n_nodes):
@@ -104,8 +100,9 @@ class EdgeTree:
 
         return code(0)
 
-    def validate(self, min_internal_degree: int = 3) -> None:
-        """Positive lengths; labeled leaves; internal non-root degree bound."""
+    def validate(self) -> None:
+        """Positive lengths; labeled leaves; unlabeled internal non-root
+        nodes of degree at least 3."""
         if np.any(self.lengths[1:] <= 0.0):
             raise ValueError("edge lengths must be positive")
         kids = self.children_lists()
@@ -114,7 +111,7 @@ class EdgeTree:
             deg = len(kids[v]) + 1
             if len(kids[v]) == 0 and v not in labeled:
                 raise ValueError(f"unlabeled leaf node {v}")
-            if len(kids[v]) > 0 and v not in labeled and deg < min_internal_degree:
+            if len(kids[v]) > 0 and v not in labeled and deg < 3:
                 raise ValueError(f"internal node {v} has degree {deg}")
 
     def to_json(self) -> str:
@@ -122,24 +119,6 @@ class EdgeTree:
                  for v in range(1, self.n_nodes)]
         leaves = [int(self.leaf_nodes[lab]) for lab in sorted(self.leaf_nodes)]
         return json.dumps({"edges": edges, "leaves": leaves})
-
-    @staticmethod
-    def from_json(text: str) -> "EdgeTree":
-        obj = json.loads(text)
-        edges = obj["edges"]
-        n = len(edges) + 1
-        parent = np.full(n, -1, dtype=np.int64)
-        lengths = np.zeros(n)
-        for par, child, ln in edges:
-            parent[child] = par
-            lengths[child] = ln
-        leaves = {i + 1: node for i, node in enumerate(obj["leaves"])}
-        return EdgeTree(parent, lengths, leaves)
-
-
-def edge_tree_stats(t: EdgeTree) -> tuple[float, np.ndarray, str]:
-    """(total length, leaf depths by label, canonical shape code)."""
-    return t.total_length(), t.leaf_depths(), t.shape_code()
 
 
 # ---------------------------------------------------------------------------

@@ -77,15 +77,6 @@ def validate_theta(theta0: float, atoms) -> Theta:
     return Theta(theta0=theta0, atoms=tuple(atoms), resorted=resorted)
 
 
-def theta_from_atoms(atoms) -> Theta:
-    """Theta from atoms alone, with theta0 = sqrt(1 - sum of squares)."""
-    atoms = [float(a) for a in atoms]
-    sq = sum(a ** 2 for a in atoms)
-    if sq >= 1.0:
-        raise NormError("atom squares must sum to less than 1")
-    return validate_theta(float(np.sqrt(1.0 - sq)), atoms)
-
-
 # ---------------------------------------------------------------------------
 # Cadlag paths
 # ---------------------------------------------------------------------------
@@ -212,20 +203,11 @@ class CadlagPath:
         np.savetxt(path, data, delimiter=",", header="t,left_value,right_value",
                    comments="", fmt="%.17g")
 
-    @staticmethod
-    def from_csv(path) -> "CadlagPath":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        return CadlagPath(data[:, 0], data[:, 1], data[:, 2])
-
 
 def continuous_path(times, values) -> CadlagPath:
     """Path with no jumps through the given points."""
     v = np.asarray(values, dtype=float)
     return CadlagPath(np.asarray(times, dtype=float), v, v.copy())
-
-
-def zero_path() -> CadlagPath:
-    return continuous_path([0.0, 1.0], [0.0, 0.0])
 
 
 def combine(paths, coeffs) -> CadlagPath:

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DegenerateError,
     DuplicatePositionError,
-    IdentityViolation,
     SignError,
     TieError,
 )
@@ -27,7 +26,6 @@ from .paths import CadlagPath, Theta, combine, sup_distance
 from .rng import RngState
 
 TIE_TOL = 1e-12
-IDENTITY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +209,6 @@ def _relocate(p: PSeq, x) -> tuple[int, np.ndarray, np.ndarray]:
     if (xs_sorted[1:] == xs_sorted[:-1]).any():
         raise DuplicatePositionError("positions collide after relocation")
     return v1, shifted, pos_order
-
-
-def particle_bridge(p: PSeq, x) -> CadlagPath:
-    """The walk u -> -u + sum_i p_i 1{x_i <= u} on [0, 1], exact jumps."""
-    x = np.asarray(x, dtype=float)
-    if np.unique(x).size != x.size:
-        raise DuplicatePositionError("particle positions must be distinct")
-    order = np.argsort(x)
-    xs = x[order]
-    ps = p.probs[order]
-    inner_left = np.concatenate([[0.0], np.cumsum(ps)[:-1]]) - xs
-    inner_right = inner_left + ps
-    if xs[0] == 0.0:
-        t = np.concatenate([xs, [1.0]])
-        left = np.concatenate([inner_left, [0.0]])
-        right = np.concatenate([inner_right, [0.0]])
-    else:
-        t = np.concatenate([[0.0], xs, [1.0]])
-        left = np.concatenate([[0.0], inner_left, [0.0]])
-        right = np.concatenate([[0.0], inner_right, [0.0]])
-    return CadlagPath(t, left, right)
 
 
 def particle_excursion(p: PSeq, x) -> tuple[CadlagPath, int, np.ndarray]:
@@ -448,10 +425,11 @@ def claim_margin(tree: RootedTree) -> float:
     return float((pos - starts).max()) if pos.size else float("-inf")
 
 
-def _generation_points(tree: RootedTree, exc: CadlagPath, p: PSeq):
-    """Cumulative visit time u_h at the end of each generation h-1, the
-    walk's value there, and the worst deviation of the identity, for
-    heights 1..max+1."""
+def generation_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
+    """Max deviation of the generation identity: at the cumulative visit
+    time of generations 0..h-1 the walk equals generation h's weight, and
+    that time equals the weight of generations 0..h-1, for heights
+    1..max+1."""
     _require(tree, "breadth")
     ht = tree.heights
     max_h = int(ht.max())
@@ -459,30 +437,16 @@ def _generation_points(tree: RootedTree, exc: CadlagPath, p: PSeq):
     ends = np.cumsum(np.bincount(ht, minlength=max_h + 2))[: max_h + 1]
     u = tree.visit_cum[ends]
     vals = exc.value(u)
-    worst = max(float(np.abs(u - np.cumsum(masses[: max_h + 1])).max()),
-                float(np.abs(vals - masses[1:]).max()))
-    return u, vals, worst
+    return max(float(np.abs(u - np.cumsum(masses[: max_h + 1])).max()),
+               float(np.abs(vals - masses[1:]).max()))
 
 
-def generation_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
-    """Max deviation of the generation identity: at the cumulative visit
-    time of generations 0..h-1 the walk equals generation h's weight, and
-    that time equals the weight of generations 0..h-1."""
-    return _generation_points(tree, exc, p)[2]
-
-
-def generation_weights(tree: RootedTree, exc: CadlagPath, p: PSeq,
-                       tol: float = IDENTITY_TOL) -> list[tuple[float, float]]:
-    """Per-generation identity: the walk's value at the cumulative visit
-    time of each generation equals the next generation's weight.
-
-    Returns (time, value) pairs for heights 1..max+1; raises
-    IdentityViolation when generation_error exceeds tol.
-    """
-    u, vals, worst = _generation_points(tree, exc, p)
-    if worst > tol:
-        raise IdentityViolation(f"generation identity off by {worst:.3g}")
-    return list(zip(u.tolist(), vals.tolist()))
+def width_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
+    """Max deviation of the width identity: at the start of each height
+    band the walk equals the band's weight (width_profile)."""
+    _require(tree, "breadth")
+    width, cumulative = width_profile(tree, p)
+    return float(np.abs(exc.value(cumulative.values) - width.values).max())
 
 
 def _height_step_path(tree: RootedTree, t: np.ndarray) -> CadlagPath:
@@ -650,11 +614,11 @@ class GenerationStepFunction:
         return float(out) if np.isscalar(h) else out
 
 
-def width_profile(tree: RootedTree, p: PSeq, exc: CadlagPath | None = None,
-                  tol: float = IDENTITY_TOL):
+def width_profile(tree: RootedTree, p: PSeq):
     """Per-generation weight and its cumulative version on the sigma-scaled
-    height axis.  With the breadth excursion supplied, checks the exact
-    width identity at every band and raises IdentityViolation on failure."""
+    height axis, as step functions of height: band g holds generation g's
+    weight and the weight of generations 0..g-1.  A final band of weight 0
+    and cumulative weight 1 closes both."""
     ht = tree.heights
     probs = p.probs
     max_h = int(ht.max())
@@ -662,13 +626,7 @@ def width_profile(tree: RootedTree, p: PSeq, exc: CadlagPath | None = None,
     cum_before = np.concatenate([[0.0], np.cumsum(masses)[:-1]])
     cum_before[max_h + 1] = 1.0
     sigma = p.sigma
-    width = GenerationStepFunction(sigma, masses)
-    cumulative = GenerationStepFunction(sigma, cum_before)
-    if exc is not None:
-        err = float(np.abs(exc.value(cum_before) - masses).max())
-        if err > tol:
-            raise IdentityViolation(f"width identity off by {err:.3g}")
-    return width, cumulative
+    return GenerationStepFunction(sigma, masses), GenerationStepFunction(sigma, cum_before)
 
 
 def width_at_quantile(width: GenerationStepFunction,
@@ -680,7 +638,7 @@ def width_at_quantile(width: GenerationStepFunction,
 
 
 # ---------------------------------------------------------------------------
-# Repeat times, diagnostics, coupling gap
+# Repeat times and the coupling gap
 # ---------------------------------------------------------------------------
 
 def repeat_time_sample(p: PSeq, rng: RngState) -> tuple[int, float]:
@@ -700,50 +658,6 @@ def repeat_time_sample(p: PSeq, rng: RngState) -> tuple[int, float]:
             return t, total
         seen.add(xi)
         total += tail[xi]
-
-
-def repeat_time_mean_uniform(n: int) -> float:
-    """Exact mean first-repeat index for the uniform vector on [n]."""
-    total = 2.0  # P(T > 0) + P(T > 1)
-    prod = 1.0
-    for k in range(1, n + 1):
-        prod *= 1.0 - k / n
-        if prod == 0.0:
-            break
-        total += prod
-    return total
-
-
-@dataclass(frozen=True, eq=False)
-class RegimeReport:
-    sigma: float
-    p_min: float
-    heavy_over_sigma: np.ndarray
-    tail_mean_ratio: float
-    mgf_lambdas: np.ndarray
-    mgf_values: np.ndarray
-
-
-def regime_diagnostics(p: PSeq, lambdas=None) -> RegimeReport:
-    """Scaling diagnostics: sigma, smallest weight, rescaled heavy entries,
-    the mean of the heavy-zeroed weight of a drawn vertex over sigma^2
-    (which approaches theta0^2), and its exact moment generating function
-    on a lambda grid."""
-    if lambdas is None:
-        lambdas = np.linspace(-1.0, 1.0, 9)
-    lambdas = np.asarray(lambdas, dtype=float)
-    sigma = p.sigma
-    ratio = p.tail_probs / sigma ** 2
-    tail_mean = float((p.probs * ratio).sum())
-    mgf = np.array([float((p.probs * np.exp(lam * ratio)).sum()) for lam in lambdas])
-    return RegimeReport(
-        sigma=sigma,
-        p_min=p.p_min,
-        heavy_over_sigma=p.probs[: p.n_heavy] / sigma,
-        tail_mean_ratio=tail_mean,
-        mgf_lambdas=lambdas,
-        mgf_values=mgf,
-    )
 
 
 def exploration_gap(p: PSeq, rng: RngState) -> float:

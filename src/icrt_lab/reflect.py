@@ -168,11 +168,12 @@ def truncated_coupling(theta: Theta, keep: int, bridge: CadlagPath,
 
     Both use the same bridge and jump times, and one set of jump intervals
     and components.  The full path subtracts every component, the truncated
-    path only the `keep` largest atoms', each on its own window, in interval
-    order: these are the pointwise decreasing approximants of the
-    reflected process, so the uniform gap equals the norm of the dropped
-    components, is bounded by the dropped atoms' total size, and is
-    nonincreasing in `keep` on every realization.
+    path only the `keep` largest jumps' (the earlier first among equal
+    sizes), each on its own window, in interval order: these are the
+    pointwise decreasing approximants of the reflected process, so the
+    uniform gap equals the norm of the dropped components, is bounded by
+    the dropped atoms' total size, and is nonincreasing in `keep` on every
+    realization.
     """
     if not 0 <= keep <= theta.length:
         raise ValueError("keep must be between 0 and the number of atoms")
@@ -181,8 +182,7 @@ def truncated_coupling(theta: Theta, keep: int, bridge: CadlagPath,
     ivs = jump_intervals(x_full)
     comps = [reflect_component(x_full, iv) for iv in ivs]
     y_full = _subtract_components(x_full, comps, ivs)
-    sizes = sorted((iv.size for iv in ivs), reverse=True)
-    cutoff = sizes[keep - 1] if keep >= 1 else float("inf")
-    kept = [iv for iv in ivs if iv.size >= cutoff][:keep] if keep else []
+    largest = sorted(ivs, key=lambda iv: (-iv.size, iv.index))[:keep]
+    kept = sorted(largest, key=lambda iv: iv.index)
     y_trunc = _subtract_components(x_full, [comps[iv.index] for iv in kept], kept)
     return y_trunc, y_full

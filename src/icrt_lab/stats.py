@@ -1,8 +1,8 @@
 """Statistical tests and analytic path functionals.
 
 Two-sample Kolmogorov-Smirnov with the asymptotic tail series, chi-square
-goodness of fit, exact occupation measures of piecewise-linear paths, and
-the reciprocal time change linking an excursion to its width profile.
+goodness of fit, exact band times of piecewise-linear paths, and the
+reciprocal time change linking an excursion to its width profile.
 """
 
 from __future__ import annotations
@@ -60,16 +60,16 @@ def _json_scalar(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def kolmogorov_sf(t: float, terms: int = KS_SERIES_TERMS) -> float:
+def kolmogorov_sf(t: float) -> float:
     """Asymptotic two-sided tail 2 sum (-1)^(k-1) exp(-2 k^2 t^2)."""
     if t <= 1e-8:
         return 1.0
-    k = np.arange(1, terms + 1)
+    k = np.arange(1, KS_SERIES_TERMS + 1)
     val = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * t) ** 2))
     return float(min(max(val, 0.0), 1.0))
 
 
-def ks_two_sample(a, b, suite: str = "ks", seed: int | None = None) -> TestReport:
+def ks_two_sample(a, b, suite: str = "ks") -> TestReport:
     """Two-sample Kolmogorov-Smirnov test with asymptotic p-value."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
@@ -83,7 +83,7 @@ def ks_two_sample(a, b, suite: str = "ks", seed: int | None = None) -> TestRepor
     lam = (np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne)) * d
     p = kolmogorov_sf(lam)
     return TestReport(suite=suite, statistic=d, p_value=p, passed=p > ALPHA,
-                      n_samples=int(min(a.size, b.size)), seed=seed)
+                      n_samples=int(min(a.size, b.size)))
 
 
 def chi_square_gof(counts, expected_probs, suite: str = "chi2") -> TestReport:
@@ -108,37 +108,6 @@ def chi_square_gof(counts, expected_probs, suite: str = "chi2") -> TestReport:
 # ---------------------------------------------------------------------------
 # Path functionals
 # ---------------------------------------------------------------------------
-
-def _reciprocal_segments(dt: np.ndarray, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """Exact integral of ds / x(s) over each linear segment of duration dt
-    from value v0 to value v1, both positive."""
-    out = np.empty_like(dt)
-    flat = v0 == v1
-    out[flat] = dt[flat] / v0[flat]
-    nf = ~flat
-    out[nf] = dt[nf] * (np.log(v1[nf]) - np.log(v0[nf])) / (v1[nf] - v0[nf])
-    return out
-
-
-def lamperti_time(x: CadlagPath, t0: float, t1: float) -> float:
-    """Integral of ds / x(s) over [t0, t1], exact on linear segments.
-
-    Returns +inf when the integrand is non-integrable there (the path
-    touches zero with linear behavior); raises NegativePathError when the
-    path goes below -1e-12 on the interval.
-    """
-    if t0 == t1:
-        return 0.0
-    sub = x if (t0, t1) == (x.t0, x.t1) else x.restrict(t0, t1)
-    v0 = sub.right[:-1]
-    v1 = sub.left[1:]
-    dt = np.diff(sub.times)
-    if min(v0.min(), v1.min(), sub.left[0], sub.right[-1]) < -1e-12:
-        raise NegativePathError("path is negative on the integration interval")
-    if np.any(v0 <= 0.0) or np.any(v1 <= 0.0):
-        return float("inf")
-    return float(_reciprocal_segments(dt, v0, v1).sum())
-
 
 # Expected gap between a Brownian path's true extremum and its best grid
 # point, in units of sqrt(grid step) (discrete-monitoring constant).
@@ -199,8 +168,12 @@ def excursion_time_change(x: CadlagPath, shift: float = 0.0) -> TimeChangeProfil
     v0 = np.where(v0 < 0.0, 0.0, v0)
     v1 = np.where(v1 < 0.0, 0.0, v1)
     contrib = np.empty_like(dt)
-    both = (v0 > 0.0) & (v1 > 0.0)
-    contrib[both] = _reciprocal_segments(dt[both], v0[both], v1[both])
+    # exact integral of ds / x(s) over each linear segment with both ends positive
+    flat = (v0 > 0.0) & (v0 == v1)
+    sloped = (v0 > 0.0) & (v1 > 0.0) & (v0 != v1)
+    contrib[flat] = dt[flat] / v0[flat]
+    contrib[sloped] = (dt[sloped] * (np.log(v1[sloped]) - np.log(v0[sloped]))
+                       / (v1[sloped] - v0[sloped]))
     z0 = (v0 == 0.0) & (v1 > 0.0)
     z1 = (v1 == 0.0) & (v0 > 0.0)
     contrib[z0] = 2.0 * dt[z0] / v1[z0]
@@ -219,16 +192,6 @@ def excursion_time_change(x: CadlagPath, shift: float = 0.0) -> TimeChangeProfil
     return TimeChangeProfile(times=times, cum=cum, seg_v0=v0, seg_v1=v1)
 
 
-def time_changed_width(x: CadlagPath, y_grid) -> np.ndarray:
-    """Excursion evaluated at the inverse reciprocal time change.
-
-    The value at the first grid point reports the limit along the grid; past
-    the total integral the width is 0 (the profile has run out of mass).
-    """
-    profile = excursion_time_change(x)
-    return np.array([profile.value_at(float(y)) for y in np.asarray(y_grid, dtype=float)])
-
-
 def time_in_band(x: CadlagPath, lo: float, hi: float) -> float:
     """Exact time the path spends with values in [lo, hi]."""
     v0 = x.right[:-1]
@@ -244,39 +207,3 @@ def time_in_band(x: CadlagPath, lo: float, hi: float) -> float:
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(nf, overlap / (b - a), 0.0)
     return float((out + np.where(nf, frac * dt, 0.0)).sum())
-
-
-@dataclass(eq=False)
-class Histogram:
-    """Level histogram: exact occupation time per band of fixed width."""
-
-    edges: np.ndarray
-    time_in_bin: np.ndarray
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.edges[1] - self.edges[0])
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.time_in_bin / self.bin_width
-
-    @property
-    def total_time(self) -> float:
-        return float(self.time_in_bin.sum())
-
-
-def occupation_density(x: CadlagPath, bin_width: float) -> Histogram:
-    """Occupation histogram with exact band times.
-
-    Bin i holds the time spent in [edges[i], edges[i+1]), taken as a
-    difference of band times up to the top edge, so that a flat piece lying
-    on an edge is counted once.
-    """
-    if bin_width <= 0.0:
-        raise ValueError("bin width must be positive")
-    k_lo = int(np.floor(x.min_value() / bin_width))
-    k_hi = int(np.floor(x.max_value() / bin_width)) + 1
-    edges = (np.arange(k_hi - k_lo + 2) + k_lo) * bin_width
-    above = np.array([time_in_band(x, lo, edges[-1]) for lo in edges[:-1]] + [0.0])
-    return Histogram(edges=edges, time_in_bin=above[:-1] - above[1:])

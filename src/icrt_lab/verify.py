@@ -36,6 +36,7 @@ from .ptree import (
     sample_positions,
     uniform_pseq,
     width_at_quantile,
+    width_error,
     width_profile,
 )
 from .reflect import (
@@ -110,8 +111,7 @@ def _amax(values) -> float:
 # 1. exact identity suite
 # ---------------------------------------------------------------------------
 
-def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0,
-                     tol: float = IDENTITY_TOL):
+def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0):
     """Structural identities on random realizations, uniform and
     heavy-atom probability vectors alternating."""
     p_uniform = uniform_pseq(n)
@@ -128,8 +128,7 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0,
             bt = breadth_tree(p, x)
             bt.validate()
             errs["generation"].append(generation_error(bt, exc, p))
-            w_fn, wbar_fn = width_profile(bt, p)
-            errs["width"].append(_amax(np.abs(exc.value(wbar_fn.values) - w_fn.values)))
+            errs["width"].append(width_error(bt, exc, p))
             errs["claim"].append(max(claim_margin(bt), 0.0))
             dt = depth_tree(p, x)
             dt.validate()
@@ -146,10 +145,10 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0,
     def check(data, name):
         errs, hypothesis_skips = data
         worst = _amax(errs[name])
-        ok = worst <= tol
+        ok = worst <= IDENTITY_TOL
         return TestReport(suite=f"identities/{name}", statistic=worst,
                           p_value=1.0 if ok else 0.0, passed=ok, n_samples=len(errs[name]),
-                          extra={"tol": tol, "n": n,
+                          extra={"tol": IDENTITY_TOL, "n": n,
                                  "hypothesis_skips": hypothesis_skips if name == "corrected" else 0})
 
     return _run_checks(seed, [(build, partial(check, name=name)) for name in names],
@@ -271,11 +270,11 @@ def _spanning_summaries(p: PSeq, leaves: int, replicates: int, rng: RngState):
 
 
 def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
-                   seed: int = 0, marginal_n: int = 10_000,
-                   marginal_reps: int = 2000, marginal_grid: int = 2 ** 12):
+                   seed: int = 0, marginal_reps: int = 2000):
     """Scaled spanning reductions of large discrete trees match the
     line-breaking law; the width profile read at a fixed mass quantile
-    matches the excursion marginal."""
+    matches the excursion marginal (trees at n = 10^4, excursions at grid
+    2^12)."""
     p = approximating_pseq(REFERENCE_THETA, n)
 
     def build_sides(rng):
@@ -292,7 +291,8 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
 
     def marginal_report(rng):
         u_star = 0.5
-        pm = approximating_pseq(REFERENCE_THETA, marginal_n)
+        pm = approximating_pseq(REFERENCE_THETA, 10_000)
+        marginal_grid = 2 ** 12
         widths = np.empty(marginal_reps)
         for k in range(marginal_reps):
             stream = _stream(rng, "theorem2/width-marginal/tree", k)
@@ -336,7 +336,7 @@ def jeulin_check(m: int, n_samples: int, rng: RngState, u: float = 0.5,
         side_a[k] = 0.5 * occ
         exc2 = sample_excursion(BROWNIAN_THETA, m, _stream(rng, "jeulin/time-change", k))
         side_b[k] = excursion_time_change(exc2, shift=eps).value_at(u)
-    rep = ks_two_sample(side_a, side_b, suite="jeulin", seed=rng.seed)
+    rep = ks_two_sample(side_a, side_b, suite="jeulin")
     rep.extra.update({"u": u, "grid": m, "band": band, "shift": eps})
     return rep
 
@@ -399,8 +399,7 @@ def suite_pkey(ns=(1000, 10_000, 100_000), reps: int = 200, seed: int = 0):
 # 7. truncation coupling
 # ---------------------------------------------------------------------------
 
-def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0,
-                   tol: float = IDENTITY_TOL):
+def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0):
     """Per-realization atom-tail bound and monotonicity of the coupled
     truncated reflections."""
     theta = REFERENCE_THETA
@@ -420,12 +419,12 @@ def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0,
                 d = sup_distance(y_trunc, y_full)
                 worst_excess = max(worst_excess, d - tails[keep])
                 dists.append(d)
-            if any(dists[i + 1] > dists[i] + tol for i in range(len(dists) - 1)):
+            if any(dists[i + 1] > dists[i] + IDENTITY_TOL for i in range(len(dists) - 1)):
                 mono_fail += 1
-        ok = worst_excess <= tol and mono_fail == 0
+        ok = worst_excess <= IDENTITY_TOL and mono_fail == 0
         return TestReport(suite="unifconv/coupling", statistic=float(worst_excess),
                           p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps,
-                          extra={"monotonicity_failures": mono_fail, "tol": tol})
+                          extra={"monotonicity_failures": mono_fail, "tol": IDENTITY_TOL})
 
     return _run_checks(seed, [(report, _as_built)], retry=False)
 
@@ -456,21 +455,21 @@ def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
 # 9. reflected-excursion oracle
 # ---------------------------------------------------------------------------
 
-def suite_y_oracle(reps: int = 100, grid: int = 2 ** 12, seed: int = 0,
-                   grid_points: int = 100, tol: float = IDENTITY_TOL):
-    """Reflected excursion agrees with the range-measure representation."""
+def suite_y_oracle(reps: int = 100, grid: int = 2 ** 12, seed: int = 0):
+    """Reflected excursion agrees with the range-measure representation at
+    the midpoints of 100 equal cells of [0, 1]."""
     def report(rng):
         worst = 0.0
-        ss = (np.arange(grid_points) + 0.5) / grid_points
+        ss = (np.arange(100) + 0.5) / 100
         for r in range(reps):
             theta = BROWNIAN_THETA if r % 2 == 0 else REFERENCE_THETA
             exc = sample_excursion(theta, grid, _stream(rng, "y-oracle", r))
             y = reflected_excursion(exc)
             for s in ss:
                 worst = max(worst, abs(y.value(s) - infimum_range_measure(exc, float(s))))
-        ok = worst <= tol
+        ok = worst <= IDENTITY_TOL
         return TestReport(suite="y-oracle", statistic=worst, p_value=1.0 if ok else 0.0,
-                          passed=ok, n_samples=reps * grid_points, extra={"tol": tol})
+                          passed=ok, n_samples=reps * ss.size, extra={"tol": IDENTITY_TOL})
 
     return _run_checks(seed, [(report, _as_built)], retry=False)
 

@@ -104,7 +104,7 @@ def test_criterion_8_repeat_time_identity():
 
 def test_criterion_9_range_measure_oracle():
     t0 = time.time()
-    reports, ok = suite_y_oracle(reps=100, grid=2 ** 12, seed=0, grid_points=100)
+    reports, ok = suite_y_oracle(reps=100, grid=2 ** 12, seed=0)
     _report("criterion-9 range-measure-oracle", ok, t0,
             f"max_err={reports[0].statistic:.3e} tol=1e-9")
     assert ok, reports[0].to_json()

@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from icrt_lab.errors import DegenerateError, DuplicateSampleError
 from icrt_lab.icrt import (
     EdgeTree,
-    edge_tree_stats,
     line_breaking_tree,
     sample_function_tree,
     spanning_subtree,
@@ -27,14 +28,13 @@ def cherry(stem=1.0, arm1=2.0, arm2=3.0) -> EdgeTree:
 class TestEdgeTree:
     def test_single_edge_stats(self):
         et = EdgeTree(np.array([-1, 0]), np.array([0.0, 2.5]), {1: 1})
-        total, depths, code = edge_tree_stats(et)
-        assert total == 2.5 and list(depths) == [2.5]
-        assert code == "((L1))"
+        assert et.total_length() == 2.5 and list(et.leaf_depths()) == [2.5]
+        assert et.shape_code() == "((L1))"
 
     def test_cherry_stats(self):
-        total, depths, _ = edge_tree_stats(cherry())
-        assert total == 6.0
-        assert list(depths) == [3.0, 4.0]
+        et = cherry()
+        assert et.total_length() == 6.0
+        assert list(et.leaf_depths()) == [3.0, 4.0]
 
     def test_shape_code_invariant_under_internal_relabeling(self):
         # same cherry with internal node created in a different order
@@ -52,10 +52,9 @@ class TestEdgeTree:
         assert a.shape_code() != c.shape_code()
 
     def test_json_roundtrip(self):
-        et = cherry()
-        back = EdgeTree.from_json(et.to_json())
-        assert back.shape_code() == et.shape_code()
-        assert back.total_length() == et.total_length()
+        # (parent, child, length) per non-root node; leaf nodes by label
+        obj = json.loads(cherry().to_json())
+        assert obj == {"edges": [[0, 1, 1.0], [1, 2, 2.0], [1, 3, 3.0]], "leaves": [2, 3]}
 
     def test_scale(self):
         et = cherry().scale_lengths(2.0)
@@ -65,7 +64,7 @@ class TestEdgeTree:
 class TestLineBreaking:
     def test_single_leaf_shape(self, brownian_theta):
         et = line_breaking_tree(brownian_theta, 1, RngState(3))
-        assert et.n_nodes == 2 and et.n_leaves == 1
+        assert et.n_nodes == 2 and len(et.leaf_nodes) == 1
         et.validate()
 
     def test_two_leaves_one_branchpoint(self, brownian_theta):
@@ -77,7 +76,7 @@ class TestLineBreaking:
     def test_leaf_count(self, reference_theta):
         for j in (1, 2, 5):
             et = line_breaking_tree(reference_theta, j, RngState(5))
-            assert et.n_leaves == j
+            assert len(et.leaf_nodes) == j
             et.validate()
 
     def test_segment_lengths_shrink_with_stage(self, reference_theta):
@@ -177,7 +176,7 @@ class TestSampleFunctionTree:
             y = sample_reflected(reference_theta, 256, RngState(14, k))
             u = RngState(15, k).gen.random(5)
             et = sample_function_tree(y, u)
-            n_internal = et.n_nodes - 1 - et.n_leaves
+            n_internal = et.n_nodes - 1 - len(et.leaf_nodes)
             assert n_internal <= 4  # at most J - 1 branchpoints
             et.validate()
 

@@ -6,7 +6,8 @@ imports a name it does not use.  `verify` builds `RngState` in one
 function and names its streams, never numbering them by offsets.
 `reflect` subtracts reflection components in one helper, called by both
 `reflected_excursion` and `truncated_coupling`, and never through
-`paths.combine`.
+`paths.combine`.  Every public module-level function and class has a
+caller in the package or the benchmark, not only in the tests.
 """
 
 import ast
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "icrt_lab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "icrt_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -106,3 +108,34 @@ def test_reflect_subtracts_components_in_one_place():
     assert _calls(tree, ("combine",)) == []
     owners = {owner for owner, _, _ in _calls(tree, ("_subtract_components",))}
     assert owners == {"reflected_excursion", "truncated_coupling"}
+
+
+# Public names allowed to have no caller outside the tests: name -> reason.
+UNCALLED_ALLOWED: dict[str, str] = {}
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """Names a node uses in code: loads and stores of a name, attribute
+    names, and imported names.  Docstrings and comments do not count."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    # a name the package and the benchmark never use is test-only surface
+    statements = [(path, stmt, _referenced_names(stmt))
+                  for path in MODULES + sorted((ROOT / "bench").glob("*.py"))
+                  for stmt in _tree(path).body]
+    uncalled = [f"{path.stem}.{stmt.name}" for path, stmt, _ in statements
+                if path.parent == PACKAGE and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_") and stmt.name not in UNCALLED_ALLOWED
+                and not any(stmt.name in names for _, other, names in statements
+                            if other is not stmt)]
+    assert not uncalled, "no caller outside the tests: " + ", ".join(uncalled)

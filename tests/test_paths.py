@@ -16,10 +16,8 @@ from icrt_lab.paths import (
     running_infimum_forward,
     sample_brownian_bridge,
     sup_distance,
-    theta_from_atoms,
     validate_theta,
     vervaat_transform,
-    zero_path,
 )
 from icrt_lab.rng import RngState
 from icrt_lab.verify import BROWNIAN_THETA, REFERENCE_THETA
@@ -114,10 +112,6 @@ class TestValidateTheta:
         th = validate_theta(0.862, [0.216, 0.345, 0.302])
         assert th.resorted and th.atoms == (0.345, 0.302, 0.216)
 
-    def test_theta_from_atoms_is_normalized(self):
-        th = theta_from_atoms([0.345, 0.302, 0.216])
-        assert th.theta0 ** 2 + sum(a ** 2 for a in th.atoms) == pytest.approx(1.0, abs=1e-15)
-
 
 class TestBrownianBridge:
     def test_endpoints_zero(self):
@@ -156,7 +150,7 @@ class TestEiBridge:
 
     def test_zero_bridge_single_atom(self):
         th = validate_theta(0.6, [0.8])
-        x = build_ei_bridge(th, zero_path(), jump_times=[0.5])
+        x = build_ei_bridge(th, continuous_path([0.0, 1.0], [0.0, 0.0]), jump_times=[0.5])
         assert x.value(0.25) == pytest.approx(-0.2, abs=1e-15)
         assert x.value(0.75) == pytest.approx(0.2, abs=1e-15)
         times, sizes = x.jumps()
@@ -308,7 +302,8 @@ class TestCadlagPath:
                        np.array([0.0, 0.25, 0.4]))
         f = tmp_path / "p.csv"
         x.to_csv(f)
-        y = CadlagPath.from_csv(f)
+        data = np.loadtxt(f, delimiter=",", skiprows=1, ndmin=2)
+        y = CadlagPath(data[:, 0], data[:, 1], data[:, 2])
         assert sup_distance(x, y) == 0.0
 
     def test_csv_text_is_pinned(self):

@@ -4,7 +4,6 @@ import pytest
 from icrt_lab.errors import DuplicatePositionError, SignError, TieError
 from icrt_lab.paths import sup_distance
 from icrt_lab.ptree import (
-    IDENTITY_TOL,
     PSeq,
     approximating_pseq,
     breadth_tree,
@@ -18,22 +17,20 @@ from icrt_lab.ptree import (
     enumerate_parent_arrays,
     exploration_gap,
     exploration_height,
-    generation_weights,
-    particle_bridge,
+    generation_error,
     particle_excursion,
     pending_mass_error,
     ptree_probability,
-    regime_diagnostics,
-    repeat_time_mean_uniform,
     repeat_time_sample,
     sample_positions,
     uniform_pseq,
     width_at_quantile,
+    width_error,
     width_profile,
 )
 from icrt_lab.rng import RngState
 from icrt_lab.stats import chi_square_gof, ks_two_sample
-from icrt_lab.verify import REFERENCE_THETA
+from icrt_lab.verify import IDENTITY_TOL, REFERENCE_THETA
 
 
 def reference_depth_tree(p, x):
@@ -122,21 +119,26 @@ class TestProbability:
         assert len(trees) == 64  # 4^(4-1)
 
 
-class TestParticleBridge:
-    def test_single_particle(self):
-        f = particle_bridge(uniform_pseq(1), [0.5])
-        assert f.value(0.25) == pytest.approx(-0.25)
-        assert f.value(0.75) == pytest.approx(0.25)
+def particle_walk(p, x, u):
+    """The walk -u + sum_i p_i 1{x_i <= u} before relocation."""
+    return float((p.probs * (np.asarray(x) <= u)).sum()) - u
 
+
+class TestParticleBridge:
     def test_total_mass_closes(self):
+        # the walk bottoms out as a left limit at particle 1 (x = 0.25,
+        # level -0.25); relocated there, it reads walk(0.25 + s) + 0.25
+        # and closes at 0
         p = PSeq(np.array([0.6, 0.4]))
-        f = particle_bridge(p, [0.5, 0.25])
-        assert abs(f.left_limit(1.0)) <= 1e-12
-        assert f.value(0.3) == pytest.approx(0.1)
+        exc, v1, _ = particle_excursion(p, [0.5, 0.25])
+        assert v1 == 1
+        assert abs(exc.left_limit(1.0)) <= 1e-12
+        assert exc.value(0.05) == pytest.approx(particle_walk(p, [0.5, 0.25], 0.3) + 0.25)
+        assert exc.value(0.05) == pytest.approx(0.35)
 
     def test_duplicate_positions(self):
         with pytest.raises(DuplicatePositionError):
-            particle_bridge(PSeq(np.array([0.6, 0.4])), [0.3, 0.3])
+            particle_excursion(PSeq(np.array([0.6, 0.4])), [0.3, 0.3])
 
     def test_tie_error(self):
         # left limits at both particles equal -0.1
@@ -192,12 +194,14 @@ class TestHandThree:
         assert pending_mass_error(t, exc, self.p) <= 1e-12
 
     def test_generation_pairs(self):
+        # (time, walk value) at the end of each generation: (0.5, 0.3),
+        # (0.8, 0.2), (1.0, 0.0)
         t = breadth_tree(self.p, self.x)
         exc, _, _ = particle_excursion(self.p, self.x)
-        pairs = generation_weights(t, exc, self.p)
-        assert pairs[0] == (pytest.approx(0.5), pytest.approx(0.3))
-        assert pairs[1] == (pytest.approx(0.8), pytest.approx(0.2))
-        assert pairs[2] == (pytest.approx(1.0), pytest.approx(0.0))
+        assert generation_error(t, exc, self.p) <= 1e-12
+        w, wbar = width_profile(t, self.p)
+        assert list(wbar.values[1:]) == pytest.approx([0.5, 0.8, 1.0])
+        assert list(w.values[1:]) == pytest.approx([0.3, 0.2, 0.0])
 
 
 # Hand-worked realization with one heavy vertex: p = (0.4, 0.3, 0.2, 0.1),
@@ -248,14 +252,16 @@ class TestHandFourHeavy:
         t = breadth_tree(self.p, self.x)
         assert list(t.parent) == [-1, 2, 0, 0]
         exc, _, _ = particle_excursion(self.p, self.x)
-        pairs = generation_weights(t, exc, self.p)
-        assert pairs[0] == (pytest.approx(0.4), pytest.approx(0.3))
-        assert pairs[1] == (pytest.approx(0.7), pytest.approx(0.3))
+        assert generation_error(t, exc, self.p) <= 1e-12
+        w, wbar = width_profile(t, self.p)
+        assert list(wbar.values[1:3]) == pytest.approx([0.4, 0.7])
+        assert list(w.values[1:3]) == pytest.approx([0.3, 0.3])
 
     def test_width_profile(self):
         t = breadth_tree(self.p, self.x)
         exc, _, _ = particle_excursion(self.p, self.x)
-        w, wbar = width_profile(t, self.p, exc)
+        assert width_error(t, exc, self.p) <= 1e-12
+        w, wbar = width_profile(t, self.p)
         assert list(w.values) == pytest.approx([0.4, 0.3, 0.3, 0.0])
         assert list(wbar.values) == pytest.approx([0.0, 0.4, 0.7, 1.0])
         sig = self.p.sigma
@@ -336,8 +342,9 @@ class TestSingleVertex:
         dt = depth_tree(p, [0.4])
         assert pending_mass_error(dt, exc, p) <= 1e-12
         bt = breadth_tree(p, [0.4])
-        pairs = generation_weights(bt, exc, p)
-        assert pairs == [(pytest.approx(1.0), pytest.approx(0.0))]
+        assert generation_error(bt, exc, p) <= 1e-12
+        w, wbar = width_profile(bt, p)
+        assert list(wbar.values[1:]) == [1.0] and list(w.values[1:]) == [0.0]
         h = exploration_height(dt)
         assert h.value(0.5) == 0.0
         assert exploration_gap(p, RngState(0)) == 0.0
@@ -356,8 +363,8 @@ class TestRandomRealizationIdentities:
             exc, _, _ = particle_excursion(p, x)
             assert pending_mass_error(dt, exc, p) <= IDENTITY_TOL
             assert claim_margin(bt) < 0.0 and claim_margin(dt) < 0.0
-            generation_weights(bt, exc, p)
-            width_profile(bt, p, exc)
+            assert generation_error(bt, exc, p) <= IDENTITY_TOL
+            assert width_error(bt, exc, p) <= IDENTITY_TOL
             assert classical_identity_error(dt) == 0.0
             ce = corrected_pending_error(dt, exc, p)
             if ce is not None:
@@ -407,8 +414,8 @@ class TestRandomRealizationIdentities:
             p = uniform_pseq(n)
             vals = np.empty(300)
             for k in range(300):
-                f = particle_bridge(p, sample_positions(n, RngState(26, k)))
-                vals[k] = f.value(t_star) / p.sigma
+                x = sample_positions(n, RngState(26, k))
+                vals[k] = particle_walk(p, x, t_star) / p.sigma
             ref = RngState(27).gen.normal(0.0, np.sqrt(t_star * (1 - t_star)), 300)
             stats.append(ks_two_sample(vals, ref).statistic)
         assert stats[1] < stats[0]
@@ -419,6 +426,23 @@ class TestRandomRealizationIdentities:
             p = uniform_pseq(n)
             meds.append(np.median([exploration_gap(p, RngState(28, k)) for k in range(15)]))
         assert meds[1] < meds[0]
+
+
+class TestExactChecksCanFail:
+    @pytest.mark.parametrize("error, build", [(pending_mass_error, depth_tree),
+                                              (generation_error, breadth_tree),
+                                              (width_error, breadth_tree)],
+                             ids=["pending", "generation", "width"])
+    @pytest.mark.parametrize("vector", ["uniform", "reference"])
+    def test_holds_on_the_walk_and_fails_on_a_shifted_one(self, error, build, vector):
+        n = 40
+        p = uniform_pseq(n) if vector == "uniform" else approximating_pseq(REFERENCE_THETA, n)
+        for k in range(10):
+            x = sample_positions(p.n, RngState(32, k))
+            exc, _, _ = particle_excursion(p, x)
+            tree = build(p, x)
+            assert error(tree, exc, p) <= IDENTITY_TOL
+            assert error(tree, exc.shift_values(1e-6), p) > IDENTITY_TOL
 
 
 class TestTreeLawSmoke:
@@ -464,6 +488,19 @@ class TestTreeLawSmoke:
         assert tv < 0.02
 
 
+def repeat_time_mean_uniform(n: int) -> float:
+    """Exact mean first-repeat index for the uniform vector on [n]:
+    the sum over k of P(T > k) = prod_{i<k} (1 - i/n)."""
+    total = 2.0  # P(T > 0) + P(T > 1)
+    prod = 1.0
+    for k in range(1, n + 1):
+        prod *= 1.0 - k / n
+        if prod == 0.0:
+            break
+        total += prod
+    return total
+
+
 class TestRepeatTime:
     def test_single_vertex(self):
         t, s = repeat_time_sample(uniform_pseq(1), RngState(0))
@@ -499,18 +536,22 @@ class TestRepeatTime:
         assert rep.p_value > 0.001
 
 
+def tail_ratio(p):
+    """Heavy-zeroed squared weight over sigma^2: the theta0^2 that
+    exploration_gap scales the height by."""
+    return float((p.tail_probs ** 2).sum()) / p.sigma ** 2
+
+
 class TestDiagnostics:
     def test_uniform_ratio_is_one(self):
-        rep = regime_diagnostics(uniform_pseq(50))
-        assert rep.tail_mean_ratio == pytest.approx(1.0)
-        assert rep.p_min == pytest.approx(0.02)
+        p = uniform_pseq(50)
+        assert tail_ratio(p) == pytest.approx(1.0)
+        assert p.p_min == pytest.approx(0.02)
 
     def test_reference_ratio_near_theta0_sq(self, reference_theta):
         p = approximating_pseq(reference_theta, 10_000)
-        rep = regime_diagnostics(p)
-        assert abs(rep.tail_mean_ratio - 0.862 ** 2) < 0.05
-        assert rep.heavy_over_sigma.shape == (3,)
-        assert np.isfinite(rep.mgf_values).all()
+        assert abs(tail_ratio(p) - 0.862 ** 2) < 0.05
+        assert p.probs[: p.n_heavy].shape == (3,)
 
     def test_gap_brownian_case(self):
         p = uniform_pseq(400)

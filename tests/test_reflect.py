@@ -9,7 +9,7 @@ from icrt_lab.paths import (
     continuous_path,
     sample_brownian_bridge,
     sup_distance,
-    theta_from_atoms,
+    validate_theta,
     vervaat_transform,
 )
 from icrt_lab.reflect import (
@@ -65,6 +65,11 @@ def make_signed_zeros():
 
 
 MANY_ATOMS = (0.5, 0.4, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05, 0.0223)
+
+
+def theta_with_atoms(atoms):
+    """The parameter sequence with these atoms and theta0 = sqrt(1 - sum of squares)."""
+    return validate_theta(float(np.sqrt(1.0 - sum(a ** 2 for a in atoms))), atoms)
 
 
 def combine_oracle(x, ivs):
@@ -219,6 +224,23 @@ class TestTruncatedCoupling:
                 dists.append(sup_distance(y_t, y_f))
             assert dists[0] >= dists[1] >= dists[2]
 
+    def test_ties_keep_the_largest_jumps(self):
+        # the two 0.2 jumps tie exactly on some realizations; the 0.3 jump
+        # must be kept whichever of the three comes first
+        atoms = (0.3, 0.2, 0.2)
+        theta = theta_with_atoms(atoms)
+        for k in range(200):
+            rng = RngState(31, k)
+            bridge = sample_brownian_bridge(64, rng)
+            us = [float(rng.gen.uniform()) for _ in atoms]
+            for keep in (1, 2):
+                y_t, y_f = truncated_coupling(theta, keep, bridge, us)
+                # a subtracted component cancels its jump, so the truncated
+                # path jumps only at the dropped atoms
+                _, sizes = y_t.jumps()
+                assert sizes.max(initial=0.0) < 0.25, (k, keep)
+                assert sup_distance(y_t, y_f) <= sum(atoms[keep:]) + 1e-9, (k, keep)
+
 
 class TestWindowOnlySubtraction:
     """reflected_excursion and truncated_coupling against the combine-based
@@ -240,7 +262,7 @@ class TestWindowOnlySubtraction:
     @pytest.mark.parametrize("grid", [2, 3, 8, 64, 2 ** 10, 2 ** 14])
     @pytest.mark.parametrize("atoms", ["reference", "many"])
     def test_sampled_excursions(self, grid, atoms, reference_theta):
-        theta = reference_theta if atoms == "reference" else theta_from_atoms(MANY_ATOMS)
+        theta = reference_theta if atoms == "reference" else theta_with_atoms(MANY_ATOMS)
         for k in range(4 if grid == 2 ** 14 else 20):
             x = sample_excursion(theta, grid, RngState(19, k))
             assert_same_bits(reflected_excursion(x), combine_oracle(x, jump_intervals(x)))
@@ -248,17 +270,16 @@ class TestWindowOnlySubtraction:
     @pytest.mark.parametrize("grid", [8, 2 ** 10])
     @pytest.mark.parametrize("atoms", ["reference", "many"])
     def test_truncated_coupling_every_keep(self, grid, atoms, reference_theta):
-        theta = reference_theta if atoms == "reference" else theta_from_atoms(MANY_ATOMS)
+        theta = reference_theta if atoms == "reference" else theta_with_atoms(MANY_ATOMS)
         for k in range(5):
             rng = RngState(20, k)
             bridge = sample_brownian_bridge(grid, rng)
             us = [float(rng.gen.uniform()) for _ in theta.atoms]
             x, _ = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=us))
             ivs = jump_intervals(x)
-            sizes = sorted((iv.size for iv in ivs), reverse=True)
+            by_size = np.argsort([-iv.size for iv in ivs], kind="stable")
             for keep in range(theta.length + 1):
-                cutoff = sizes[keep - 1] if keep >= 1 else float("inf")
-                kept = [iv for iv in ivs if iv.size >= cutoff][:keep]
+                kept = [ivs[i] for i in sorted(by_size[:keep])]
                 y_t, y_f = truncated_coupling(theta, keep, bridge, us)
                 assert_same_bits(y_f, combine_oracle(x, ivs))
                 assert_same_bits(y_t, combine_oracle(x, kept))

@@ -20,13 +20,12 @@ SMALL_RUNS = {
     "identities": lambda: verify.suite_identities(n=20, reps=2, seed=5),
     "btree-law": lambda: verify.suite_tree_law(samples=5000, seed=5),
     "theorem1": lambda: verify.suite_theorem1(replicates=2, grid=16, seed=5),
-    "theorem2": lambda: verify.suite_theorem2(n=200, replicates=2, seed=5, marginal_n=200,
-                                              marginal_reps=2, marginal_grid=16),
+    "theorem2": lambda: verify.suite_theorem2(n=200, replicates=2, seed=5, marginal_reps=2),
     "jeulin": lambda: verify.suite_jeulin(grid=16, replicates=2, seed=5),
     "pkey": lambda: verify.suite_pkey(ns=(20, 40), reps=2, seed=5),
     "unifconv": lambda: verify.suite_unifconv(reps=2, grid=16, seed=5),
     "repeat-time": lambda: verify.suite_repeat_time(n=5, replicates=3, seed=5),
-    "y-oracle": lambda: verify.suite_y_oracle(reps=2, grid=16, seed=5, grid_points=3),
+    "y-oracle": lambda: verify.suite_y_oracle(reps=2, grid=16, seed=5),
 }
 
 ATTEMPT0 = RngState(5).child(0)

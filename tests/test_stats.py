@@ -16,9 +16,6 @@ from icrt_lab.stats import (
     excursion_time_change,
     kolmogorov_sf,
     ks_two_sample,
-    lamperti_time,
-    occupation_density,
-    time_changed_width,
     time_in_band,
 )
 from icrt_lab.verify import jeulin_check
@@ -99,50 +96,68 @@ class TestChiSquare:
             chi_square_gof([100, 1], [0.99, 0.01])
 
 
+def reciprocal_integral(x, t0, t1):
+    """Integral of ds / x(s) over [t0, t1] for a path positive there."""
+    return excursion_time_change(x.restrict(t0, t1)).total
+
+
 class TestLamperti:
+    """The reciprocal integral behind the time change, exact on linear
+    segments."""
+
     def test_constant(self):
         x = continuous_path([0.0, 1.0], [2.0, 2.0])
-        assert lamperti_time(x, 0.0, 1.0) == pytest.approx(0.5)
+        assert excursion_time_change(x).total == pytest.approx(0.5)
 
     def test_tent_interior(self):
-        assert lamperti_time(make_tent(), 0.25, 0.75) == pytest.approx(2 * np.log(2))
+        assert reciprocal_integral(make_tent(), 0.25, 0.75) == pytest.approx(2 * np.log(2))
+
+    def test_shifted_tent(self):
+        # each branch gives the integral of ds / (s + c) over [0, 0.5]
+        c = 0.1
+        prof = excursion_time_change(make_tent(), shift=c)
+        assert prof.total == pytest.approx(2 * np.log((0.5 + c) / c), rel=1e-12)
 
     def test_tent_full_diverges(self):
-        assert lamperti_time(make_tent(), 0.0, 1.0) == np.inf
+        # on a stretch where the path is 0 the integral diverges, so the
+        # profile stops where the stretch starts
+        x = continuous_path([0.0, 0.25, 0.5, 1.0], [0.0, 0.25, 0.0, 0.0])
+        prof = excursion_time_change(x)
+        assert list(prof.times) == [0.0, 0.25, 0.5]
+        assert prof.total == pytest.approx(4.0)  # square-root model on both ends
+        assert prof.value_at(prof.total) == 0.0
 
     def test_negative_raises(self):
         x = continuous_path([0.0, 1.0], [-1.0, -1.0])
         with pytest.raises(NegativePathError):
-            lamperti_time(x, 0.0, 1.0)
+            excursion_time_change(x)
 
     def test_additive_over_intervals(self):
         tent = make_tent()
-        whole = lamperti_time(tent, 0.2, 0.8)
-        parts = lamperti_time(tent, 0.2, 0.45) + lamperti_time(tent, 0.45, 0.8)
+        whole = reciprocal_integral(tent, 0.2, 0.8)
+        parts = reciprocal_integral(tent, 0.2, 0.45) + reciprocal_integral(tent, 0.45, 0.8)
         assert whole == pytest.approx(parts, rel=1e-12)
 
     def test_monotone_in_integrand(self):
         tent = make_tent()
         taller = tent.scale_values(2.0)
-        assert lamperti_time(taller, 0.25, 0.75) < lamperti_time(tent, 0.25, 0.75)
+        assert reciprocal_integral(taller, 0.25, 0.75) < reciprocal_integral(tent, 0.25, 0.75)
 
 
 class TestTimeChange:
     def test_constant_width(self):
-        x = continuous_path([0.0, 1.0], [3.0, 3.0])
-        out = time_changed_width(x, [0.0, 0.1, 0.33, 0.4])
-        assert list(out[:3]) == [3.0, 3.0, 3.0]
-        assert out[3] == 0.0  # past the total integral 1/3
+        prof = excursion_time_change(continuous_path([0.0, 1.0], [3.0, 3.0]))
+        assert prof.total == pytest.approx(1.0 / 3.0)
+        assert [prof.value_at(y) for y in (0.0, 0.1, 0.33)] == [3.0, 3.0, 3.0]
+        assert prof.value_at(0.4) == 0.0  # past the total integral 1/3
 
     def test_zero_grid_point_reports_limit(self):
-        tent = make_tent()
-        out = time_changed_width(tent, [0.0])
-        assert out[0] == 0.0
+        assert excursion_time_change(make_tent()).value_at(0.0) == 0.0
 
     def test_profile_total_matches_lamperti_interior(self):
         tent = make_tent()
         prof = excursion_time_change(tent)
-        interior = lamperti_time(tent, 0.25, 0.75)
+        interior = reciprocal_integral(tent, 0.25, 0.75)
         assert prof.total > interior
 
     def test_total_monotone_in_shift(self):
@@ -152,24 +167,32 @@ class TestTimeChange:
         assert p2.total < p1.total
 
 
+def band_times(x, bin_width):
+    """Exact time in each band [edges[i], edges[i+1]) covering the range of
+    x, taken as differences of band times up to the top edge, so that a
+    flat piece lying on an edge is counted once."""
+    k_lo = int(np.floor(x.min_value() / bin_width))
+    k_hi = int(np.floor(x.max_value() / bin_width)) + 1
+    edges = (np.arange(k_hi - k_lo + 2) + k_lo) * bin_width
+    above = np.array([time_in_band(x, lo, edges[-1]) for lo in edges[:-1]] + [0.0])
+    return edges, above[:-1] - above[1:]
+
+
 class TestOccupation:
     def test_tent_interior_density_two(self):
-        h = occupation_density(make_tent(), 0.01)
         # two unit-|slope| branches cross each interior band
-        dens = h.density
-        interior = dens[(h.edges[:-1] >= 0.0) & (h.edges[1:] <= 0.5)]
-        assert np.allclose(interior, 2.0)
+        tent = make_tent()
+        for lo in np.arange(50) * 0.01:
+            assert time_in_band(tent, lo, lo + 0.01) / 0.01 == pytest.approx(2.0)
 
     def test_constant_single_bin(self):
         x = continuous_path([0.0, 1.0], [0.305, 0.305])
-        h = occupation_density(x, 0.01)
-        assert h.time_in_bin.max() == pytest.approx(1.0)
-        assert (h.time_in_bin > 0).sum() == 1
+        assert time_in_band(x, 0.30, 0.31) == 1.0
+        assert time_in_band(x, 0.29, 0.30) == 0.0 and time_in_band(x, 0.31, 0.32) == 0.0
 
     def test_total_time_is_one(self, brownian_theta):
         exc = sample_excursion(brownian_theta, 512, RngState(5))
-        h = occupation_density(exc, 0.02)
-        assert h.total_time == pytest.approx(1.0, abs=1e-9)
+        assert time_in_band(exc, exc.min_value(), exc.max_value()) == pytest.approx(1.0, abs=1e-9)
 
     def test_band_time_matches_histogram(self):
         tent = make_tent()
@@ -217,8 +240,8 @@ def test_occupation_integral_exact_property(m, seed):
     t = np.unique(t)
     v = g.random(t.size)
     x = continuous_path(t, v)
-    h = occupation_density(x, 0.037)
-    assert h.total_time == pytest.approx(1.0, abs=1e-9)
+    _, times = band_times(x, 0.037)
+    assert times.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -230,8 +253,8 @@ def test_occupation_bins_sum_to_band_time_property(m, seed, bin_width):
     g = RngState(9, seed).gen
     t = np.unique(np.concatenate([[0.0, 1.0], g.random(m - 1)]))
     x = continuous_path(t, 0.05 * g.integers(-4, 12, size=t.size))
-    h = occupation_density(x, bin_width)
-    assert (h.time_in_bin >= 0.0).all()
-    covered = time_in_band(x, h.edges[0], h.edges[-1])
-    assert h.time_in_bin.sum() == pytest.approx(covered, abs=1e-12)
+    edges, times = band_times(x, bin_width)
+    assert (times >= 0.0).all()
+    covered = time_in_band(x, edges[0], edges[-1])
+    assert times.sum() == pytest.approx(covered, abs=1e-12)
     assert covered == pytest.approx(1.0, abs=1e-12)
