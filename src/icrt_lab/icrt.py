@@ -84,22 +84,6 @@ class EdgeTree:
     def scale_lengths(self, c: float) -> "EdgeTree":
         return EdgeTree(self.parent.copy(), c * self.lengths, dict(self.leaf_nodes))
 
-    def shape_code(self) -> str:
-        """Canonical shape string: invariant under internal relabeling,
-        leaf labels kept, edge lengths ignored."""
-        kids = self.children_lists()
-        labels_at: dict = {}
-        for lab, node in self.leaf_nodes.items():
-            labels_at.setdefault(node, []).append(lab)
-
-        def code(v: int) -> str:
-            lab = ",".join(str(x) for x in sorted(labels_at.get(v, [])))
-            sub = sorted(code(c) for c in kids[v])
-            inner = ("L" + lab if lab else "") + ("|".join(sub) if sub else "")
-            return "(" + inner + ")"
-
-        return code(0)
-
     def validate(self) -> None:
         """Positive lengths; labeled leaves; unlabeled internal non-root
         nodes of degree at least 3."""

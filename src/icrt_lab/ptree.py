@@ -63,10 +63,6 @@ class PSeq:
         return float(np.sqrt((self.probs ** 2).sum()))
 
     @property
-    def p_min(self) -> float:
-        return float(self.probs[-1])
-
-    @property
     def tail_probs(self) -> np.ndarray:
         """Probabilities with the heavy entries zeroed."""
         out = self.probs.copy()
@@ -112,10 +108,12 @@ class RootedTree:
     """Rooted tree on [n] with the construction's visit bookkeeping.
 
     parent[root] = -1; `order` is the visit order (breadth: position order,
-    depth: examination order); `children` lists are in circle order (built
-    lazily for breadth trees); `positions` are the relocated particle
-    positions; `e_times` are the per-vertex examination end times (depth
-    only); `visit_cum` is the cumulative weight in visit order, from 0.
+    depth: examination order); `positions` are the relocated particle
+    positions and `pos_order` their sort order, so the root comes first.
+    Both readings give each vertex a run of the position order as its
+    children: children(v) = pos_order[kid_start[v]:kid_end[v]], in circle
+    order.  `e_times` are the per-vertex examination end times (depth only);
+    `visit_cum` is the cumulative weight in visit order, from 0.
     """
 
     n: int
@@ -125,19 +123,14 @@ class RootedTree:
     positions: np.ndarray
     visit_cum: np.ndarray
     kind: str
+    pos_order: np.ndarray
+    kid_start: np.ndarray
+    kid_end: np.ndarray
     e_times: np.ndarray | None = None
-    children_data: list | None = None
     _heights: np.ndarray | None = None
 
-    @property
-    def children(self) -> list:
-        if self.children_data is None:
-            rank_of = np.empty(self.n, dtype=np.int64)
-            rank_of[self.order] = np.arange(self.n)
-            nonroot = self.order[1:]
-            self.children_data = _group_children(
-                self.n, self.order, rank_of[self.parent[nonroot]])
-        return self.children_data
+    def children(self, v: int) -> np.ndarray:
+        return self.pos_order[self.kid_start[v]:self.kid_end[v]]
 
     @property
     def heights(self) -> np.ndarray:
@@ -265,34 +258,56 @@ def enumerate_parent_arrays(n: int):
                 yield tuple(parent)
 
 
-def _group_children(n: int, order: np.ndarray, rank: np.ndarray) -> list:
-    """Children arrays per vertex id from non-root visit ranks and their
-    parents' visit ranks, preserving position order within each group."""
-    nonroot = order[1:]
-    grouping = np.argsort(rank, kind="stable")
-    grouped = nonroot[grouping]
-    bounds = np.searchsorted(rank[grouping], np.arange(n + 1))
-    children: list = [None] * n
-    for j in range(n):
-        children[int(order[j])] = grouped[bounds[j]:bounds[j + 1]]
-    return children
+def _claim_tree(p: PSeq, x, kind: str) -> RootedTree:
+    """Tree in which the i-th visited vertex claims, as its children, the
+    particles not yet claimed whose relocated positions are at most the
+    cumulative weight of the first i + 1 visited vertices.
+
+    Both readings claim the next run of the position order, so one
+    searchsorted over the sorted positions gives every vertex's child
+    bounds and the parent array; they differ only in the visit order.
+    """
+    v1, xs, pos_order = _relocate(p, x)
+    n = p.n
+    xs_sorted = xs[pos_order]
+    w_sorted = p.probs[pos_order]
+    if kind == "breadth":
+        order, ends = pos_order, np.cumsum(w_sorted)
+    else:
+        ranks = _examination_ranks(xs_sorted, w_sorted)
+        # cumsum adds in examination order, exactly as the pass moved the cursor.
+        order, ends = pos_order[ranks], np.cumsum(w_sorted[ranks])
+    # Only the depth pass can stop short; in the breadth reading every
+    # particle falls in an earlier interval because the walk, relocated at
+    # its minimum, stays above 0 until time 1.
+    if order.size != n:
+        raise DegenerateError("claim intervals missed a particle")
+    ends[-1] = 1.0
+    # Visited vertex i claims ranks starts[i] up to, not including, claimed[i].
+    claimed = np.searchsorted(xs_sorted, ends, side="right")
+    starts = np.concatenate([[1], claimed[:-1]])
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[pos_order[1:]] = np.repeat(order, claimed - starts)
+    kid_start = np.empty(n, dtype=np.int64)
+    kid_end = np.empty(n, dtype=np.int64)
+    kid_start[order] = starts
+    kid_end[order] = claimed
+    e_times = None
+    if kind == "depth":
+        ends = np.minimum(ends, 1.0)
+        e_times = np.empty(n)
+        e_times[order] = ends
+    return RootedTree(n=n, root=v1, parent=parent, order=order, positions=xs,
+                      visit_cum=np.concatenate([[0.0], ends]), kind=kind,
+                      pos_order=pos_order, kid_start=kid_start, kid_end=kid_end,
+                      e_times=e_times)
 
 
 def breadth_tree(p: PSeq, x) -> RootedTree:
     """Tree read in position order: particle j's children are the particles
-    whose relocated positions fall in its cumulative-weight interval."""
-    v1, xs, order = _relocate(p, x)
-    n = p.n
-    y = np.concatenate([[0.0], np.cumsum(p.probs[order])])
-    y[-1] = 1.0
-    q = xs[order[1:]]
-    rank = np.searchsorted(y, q, side="left") - 1
-    if rank.size and (rank.min() < 0 or rank.max() >= n):
-        raise DegenerateError("position escaped every interval")
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[order[1:]] = order[rank]
-    return RootedTree(n=n, root=v1, parent=parent, order=order,
-                      positions=xs, visit_cum=y, kind="breadth")
+    whose relocated positions fall in its cumulative-weight interval, the
+    next run of the position order, as in the depth reading."""
+    return _claim_tree(p, x, "breadth")
 
 
 def _examination_ranks(xs_sorted: np.ndarray, w_sorted: np.ndarray) -> np.ndarray:
@@ -302,8 +317,7 @@ def _examination_ranks(xs_sorted: np.ndarray, w_sorted: np.ndarray) -> np.ndarra
     Stops early, returning fewer than n ranks, when the examination
     intervals miss a particle.  Every particle is claimed before it is
     examined, so the last vertex examined claims nothing and the cursor
-    needs no clamp to 1 here.  The lists of n Python floats the pass reads
-    are freed on return, before depth_tree builds its n children views.
+    needs no clamp to 1 here.
     """
     xl = xs_sorted.tolist()
     wl = w_sorted.tolist()
@@ -337,35 +351,10 @@ def depth_tree(p: PSeq, x) -> RootedTree:
     identities checked against the walk are two-sided.  The examination
     cursor only moves right, so the children of each examined vertex are
     the next run of particles in position order: after the sort, one
-    forward pass over the positions builds the tree in linear time.
+    forward pass over the positions gives the examination order, and the
+    tree follows as for the breadth reading.
     """
-    v1, xs, pos_order = _relocate(p, x)
-    n = p.n
-    xs_sorted = xs[pos_order]
-    w_sorted = p.probs[pos_order]
-    ranks = _examination_ranks(xs_sorted, w_sorted)
-    if ranks.size != n:
-        raise DegenerateError("examination intervals missed a particle")
-    order = pos_order[ranks]
-    # cumsum adds in examination order, exactly as the pass moved the cursor.
-    ends = np.cumsum(w_sorted[ranks])
-    ends[-1] = 1.0
-    e_in_order = np.minimum(ends, 1.0)
-    e_times = np.empty(n)
-    e_times[order] = e_in_order
-    # Examined vertex i claims ranks starts[i] up to, not including, claimed[i].
-    claimed = np.searchsorted(xs_sorted, ends, side="right")
-    starts = np.concatenate([[1], claimed[:-1]])
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[pos_order[1:]] = np.repeat(order, claimed - starts)
-    children: list = [None] * n
-    # memoryview yields the indices one at a time; tolist() would hold
-    # three lists of n Python ints at once, on top of the n views.
-    for v, i0, i1 in zip(memoryview(order), memoryview(starts), memoryview(claimed)):
-        children[v] = pos_order[i0:i1]
-    return RootedTree(n=n, root=v1, parent=parent, order=order,
-                      positions=xs, visit_cum=np.concatenate([[0.0], e_in_order]),
-                      kind="depth", e_times=e_times, children_data=children)
+    return _claim_tree(p, x, "depth")
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +364,6 @@ def depth_tree(p: PSeq, x) -> RootedTree:
 def _require(tree: RootedTree, kind: str) -> None:
     if tree.kind != kind:
         raise ValueError(f"operation requires a {kind}-order tree")
-
-
-def _sibling_suffix_sums(tree: RootedTree, weights: np.ndarray) -> np.ndarray:
-    """For each non-root vertex, the summed weight of its later siblings."""
-    after = np.zeros(tree.n)
-    for v in range(tree.n):
-        kids = tree.children[v]
-        if kids.size:
-            w = weights[kids]
-            after[kids] = np.concatenate([np.cumsum(w[::-1])[-2::-1], [0.0]])
-    return after
 
 
 def _path_accumulate(tree: RootedTree, per_vertex: np.ndarray) -> np.ndarray:
@@ -398,6 +376,18 @@ def _path_accumulate(tree: RootedTree, per_vertex: np.ndarray) -> np.ndarray:
     return np.asarray(acc)
 
 
+def _pending_mass(tree: RootedTree, w: np.ndarray) -> np.ndarray:
+    """Per vertex v, the weight w of v's children plus that of the later
+    siblings of v and of each of its non-root ancestors."""
+    pos_order = tree.pos_order
+    c = np.concatenate([[0.0], np.cumsum(w[pos_order])])
+    own = c[tree.kid_end] - c[tree.kid_start]
+    after = np.zeros(tree.n)
+    nonroot = pos_order[1:]
+    after[nonroot] = c[tree.kid_end[tree.parent[nonroot]]] - c[2:]
+    return _path_accumulate(tree, after) + own
+
+
 def pending_mass_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
     """Max |exc(e(v)) - pending mass at v| over all vertices.
 
@@ -406,10 +396,7 @@ def pending_mass_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
     two-sided check of the examination-time identity.
     """
     _require(tree, "depth")
-    probs = p.probs
-    after = _sibling_suffix_sums(tree, probs)
-    own = np.array([probs[tree.children[v]].sum() for v in range(tree.n)])
-    pending = _path_accumulate(tree, after) + own
+    pending = _pending_mass(tree, p.probs)
     vals = exc.value(tree.e_times)
     return float(np.abs(vals - pending).max())
 
@@ -507,7 +494,7 @@ def corrected_excursion(tree: RootedTree, exc: CadlagPath, p: PSeq) -> CadlagPat
     probs = p.probs
     jump_t, jump_v, kink_t, kink_s = [], [], [], []
     for i in range(n_heavy):
-        kids = tree.children[i]
+        kids = tree.children(i)
         if kids.size == 0:
             continue
         jump_t.append(float(tree.positions[i]))
@@ -554,43 +541,22 @@ def corrected_pending_error(tree: RootedTree, exc: CadlagPath, p: PSeq):
     """Two-route check of the corrected excursion at examination end times.
 
     Valid only when no heavy vertex has a heavy child (returns None
-    otherwise).  The tree-side expression is the pending mass restricted to
-    vertices with light parents, plus, for each pending heavy vertex, its
-    own weight net of its children's (the ramp of a pending heavy vertex
-    has not started delivering, so its children's mass is removed while its
-    own weight still counts).
+    otherwise).  The tree-side expression is the pending mass under weights
+    that are 0 at the children of heavy vertices and, at each heavy vertex,
+    its own weight net of its children's (the ramp of a pending heavy
+    vertex has not started delivering, so its children's mass is removed
+    while its own weight still counts); every other vertex keeps p_v.
     """
     _require(tree, "depth")
-    n_heavy = p.n_heavy
-    heavy = np.zeros(tree.n, dtype=bool)
-    heavy[:n_heavy] = True
-    for i in range(n_heavy):
-        if heavy[tree.children[i]].any():
-            return None
     probs = p.probs
-    deficit = np.zeros(tree.n)
-    for i in range(n_heavy):
-        deficit[i] = probs[i] - probs[tree.children[i]].sum()
-    light_w = np.where(heavy, 0.0, probs)
-    heavy_w = np.where(heavy, deficit, 0.0)
-    after_light = np.zeros(tree.n)
-    after_heavy = np.zeros(tree.n)
-    own_light = np.zeros(tree.n)
-    own_heavy = np.zeros(tree.n)
-    for v in range(tree.n):
-        kids = tree.children[v]
-        if kids.size == 0:
-            continue
-        wl = light_w[kids]
-        wh = heavy_w[kids]
-        own_heavy[v] = wh.sum()
-        suffix_h = np.concatenate([np.cumsum(wh[::-1])[-2::-1], [0.0]])
-        after_heavy[kids] = suffix_h
-        if not heavy[v]:
-            own_light[v] = wl.sum()
-            after_light[kids] = np.concatenate([np.cumsum(wl[::-1])[-2::-1], [0.0]])
-    rhs = (_path_accumulate(tree, after_light) + own_light
-           + _path_accumulate(tree, after_heavy) + own_heavy)
+    w = probs.copy()
+    for i in range(p.n_heavy):
+        kids = tree.children(i)
+        if (kids < p.n_heavy).any():
+            return None
+        w[kids] = 0.0
+        w[i] = probs[i] - probs[kids].sum()
+    rhs = _pending_mass(tree, w)
     g = corrected_excursion(tree, exc, p)
     lhs = g.value(tree.e_times)
     return float(np.abs(lhs - rhs).max())

@@ -54,6 +54,29 @@ class TestSample:
         assert lines[1] == "vertex,parent"
         assert len(lines) == 12
 
+    @pytest.mark.parametrize("args, expected", [
+        (["ptree", "--construction", "breadth"],
+         '# {"n": 6, "root": 4, "p": [0.16666666666666666, 0.16666666666666666, 0.16666666666666666, 0.16666666666666666, 0.16666666666666666, 0.16666666666666666], "kind": "breadth"}\n'
+         "vertex,parent\n0,1\n1,3\n2,5\n3,5\n4,-1\n5,4\n"),
+        (["ptree", "--construction", "depth"],
+         '# {"n": 6, "root": 4, "p": [0.16666666666666666, 0.16666666666666666, 0.16666666666666666, 0.16666666666666666, 0.16666666666666666, 0.16666666666666666], "kind": "depth"}\n'
+         "vertex,parent\n0,2\n1,3\n2,5\n3,5\n4,-1\n5,4\n"),
+        (["width"],
+         "height,width,cumulative\n"
+         "0,0.16666666666666666,0\n"
+         "0.40824829046386302,0.16666666666666666,0.16666666666666666\n"
+         "0.81649658092772603,0.33333333333333331,0.33333333333333331\n"
+         "1.2247448713915889,0.16666666666666666,0.66666666666666663\n"
+         "1.6329931618554521,0.16666666666666666,0.83333333333333326\n"
+         "2.0412414523193152,0,1\n"),
+    ], ids=["ptree-breadth", "ptree-depth", "width"])
+    def test_sample_tree_bytes_are_pinned(self, tmp_path, args, expected):
+        # one small tree per construction; a layout change must not move it
+        out = tmp_path / "t.csv"
+        assert run_cli(["sample", *args, "--uniform", "--n", "6", "--seed", "0",
+                        "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+
     def test_bad_n_exits_2(self, capsys):
         rc = run_cli(["sample", "ptree", "--uniform", "--n", "0"])
         assert rc == 2

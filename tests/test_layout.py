@@ -6,8 +6,9 @@ imports a name it does not use.  `verify` builds `RngState` in one
 function and names its streams, never numbering them by offsets.
 `reflect` subtracts reflection components in one helper, called by both
 `reflected_excursion` and `truncated_coupling`, and never through
-`paths.combine`.  Every public module-level function and class has a
-caller in the package or the benchmark, not only in the tests.
+`paths.combine`.  Every public module-level function and class, and every
+public method and property of a package class, has a caller in the package
+or the benchmark, not only in the tests.
 """
 
 import ast
@@ -110,7 +111,8 @@ def test_reflect_subtracts_components_in_one_place():
     assert owners == {"reflected_excursion", "truncated_coupling"}
 
 
-# Public names allowed to have no caller outside the tests: name -> reason.
+# Public names (`name` or `Class.method`) allowed to have no caller outside
+# the tests: name -> reason.
 UNCALLED_ALLOWED: dict[str, str] = {}
 
 
@@ -129,13 +131,22 @@ def _referenced_names(node: ast.AST) -> set[str]:
 
 
 def test_every_public_name_has_a_caller():
-    # a name the package and the benchmark never use is test-only surface
+    # a name the package and the benchmark never use is test-only surface;
+    # a method or property may also be used by another member of its class
     statements = [(path, stmt, _referenced_names(stmt))
                   for path in MODULES + sorted((ROOT / "bench").glob("*.py"))
                   for stmt in _tree(path).body]
-    uncalled = [f"{path.stem}.{stmt.name}" for path, stmt, _ in statements
-                if path.parent == PACKAGE and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                and not stmt.name.startswith("_") and stmt.name not in UNCALLED_ALLOWED
-                and not any(stmt.name in names for _, other, names in statements
-                            if other is not stmt)]
+    uncalled = []
+    for path, stmt, _ in statements:
+        if path.parent != PACKAGE or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        outside = [names for _, other, names in statements if other is not stmt]
+        members = stmt.body if isinstance(stmt, ast.ClassDef) else []
+        candidates = [(stmt.name, stmt.name, outside)] + [
+            (f"{stmt.name}.{fn.name}", fn.name,
+             outside + [_referenced_names(m) for m in members if m is not fn])
+            for fn in members if isinstance(fn, ast.FunctionDef)]
+        uncalled += [f"{path.stem}.{label}" for label, name, users in candidates
+                     if not name.startswith("_") and label not in UNCALLED_ALLOWED
+                     and not any(name in names for names in users)]
     assert not uncalled, "no caller outside the tests: " + ", ".join(uncalled)

@@ -33,6 +33,27 @@ from icrt_lab.stats import chi_square_gof, ks_two_sample
 from icrt_lab.verify import IDENTITY_TOL, REFERENCE_THETA
 
 
+def reference_breadth_tree(p, x):
+    """Breadth-first tree from one searchsorted over the cumulative weights
+    in position order, the children grouped by a stable sort of their
+    parents' visit ranks.  Test-only oracle for ptree.breadth_tree."""
+    _, v1, xs = particle_excursion(p, x)
+    n = p.n
+    order = np.argsort(xs)
+    y = np.concatenate([[0.0], np.cumsum(p.probs[order])])
+    y[-1] = 1.0
+    rank = np.searchsorted(y, xs[order[1:]], side="left") - 1
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[order[1:]] = order[rank]
+    grouping = np.argsort(rank, kind="stable")
+    grouped = order[1:][grouping]
+    bounds = np.searchsorted(rank[grouping], np.arange(n + 1))
+    children = [None] * n
+    for j in range(n):
+        children[int(order[j])] = grouped[bounds[j]:bounds[j + 1]]
+    return v1, parent, order, None, y, children
+
+
 def reference_depth_tree(p, x):
     """Per-vertex construction of the depth-first tree: two searchsorted
     calls per examined vertex over the separately sorted relocated
@@ -74,7 +95,7 @@ class TestPSeq:
     def test_uniform(self):
         p = uniform_pseq(4)
         assert p.sigma == pytest.approx(0.5)
-        assert p.p_min == 0.25
+        assert p.probs[-1] == 0.25
 
     def test_must_be_ranked(self):
         with pytest.raises(ValueError):
@@ -293,7 +314,56 @@ class TestPendingHeavySign:
         assert corrected_pending_error(t, exc, self.p) <= 1e-12
 
 
+# Dyadic realization with a relocated position exactly on an interval end:
+# p uniform on 4, x = (0.625, 0.25, 0.75, 0.375).  The minimizer is vertex 1;
+# relocated positions (0.375, 0, 0.5, 0.125).  Vertex 3 is the root's only
+# child and its interval ends at 0.5, where vertex 2 sits: an interval
+# claims the position at its end, so vertex 3 has children (0, 2) and the
+# visit order is (1, 3, 0, 2) in both readings.
+class TestHandOnIntervalEnd:
+    p = uniform_pseq(4)
+    x = [0.625, 0.25, 0.75, 0.375]
+
+    @pytest.mark.parametrize("build", [breadth_tree, depth_tree])
+    def test_end_claims_its_position(self, build):
+        t = build(self.p, self.x)
+        assert t.positions[2] == 0.5 and t.visit_cum[2] == 0.5
+        assert list(t.parent) == [3, -1, 3, 1]
+        assert list(t.children(3)) == [0, 2]
+        assert list(t.order) == [1, 3, 0, 2]
+
+    def test_pending_identity(self):
+        t = depth_tree(self.p, self.x)
+        exc, _, _ = particle_excursion(self.p, self.x)
+        assert list(t.e_times) == [0.75, 0.25, 1.0, 0.5]
+        assert pending_mass_error(t, exc, self.p) <= 1e-12
+
+
+REFERENCE_TREES = {"breadth": (breadth_tree, reference_breadth_tree),
+                   "depth": (depth_tree, reference_depth_tree)}
+
+
+def assert_same_tree(t, want):
+    """Bitwise, with dtype: `t` against an oracle's (root, parent, order,
+    e_times, visit_cum, children)."""
+    root, parent, order, e_times, visit_cum, children = want
+    assert t.root == root
+    assert (t.e_times is None) == (e_times is None)
+    pairs = [(t.parent, parent), (t.order, order), (t.visit_cum, visit_cum)]
+    if e_times is not None:
+        pairs.append((t.e_times, e_times))
+    for got, ref in pairs:
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    assert len(children) == t.n
+    for v, ref in enumerate(children):
+        got = t.children(v)
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
 class TestDepthTreeOracle:
+    # both readings, each against its own test-only reference construction
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 50, 1000, 10_000])
     def test_matches_per_vertex_construction(self, n):
         vectors = [uniform_pseq(n)]
@@ -303,29 +373,18 @@ class TestDepthTreeOracle:
         for p in vectors:
             for k in range(seeds):
                 x = sample_positions(p.n, RngState(31, k))
-                t = depth_tree(p, x)
-                root, parent, order, e_times, visit_cum, children = reference_depth_tree(p, x)
-                assert t.root == root
-                for got, want in [(t.parent, parent), (t.order, order),
-                                  (t.e_times, e_times), (t.visit_cum, visit_cum)]:
-                    assert got.dtype == want.dtype
-                    assert np.array_equal(got, want)
-                assert len(t.children) == p.n
-                for got, want in zip(t.children, children):
-                    assert got.dtype == want.dtype
-                    assert np.array_equal(got, want)
+                for kind, (build, reference) in REFERENCE_TREES.items():
+                    t = build(p, x)
+                    assert t.kind == kind
+                    assert_same_tree(t, reference(p, x))
                 exc, _, _ = particle_excursion(p, x)
-                assert pending_mass_error(t, exc, p) <= IDENTITY_TOL
+                assert pending_mass_error(depth_tree(p, x), exc, p) <= IDENTITY_TOL
 
     def test_hand_realizations_match(self):
-        for p, x in [(TestHandThree.p, TestHandThree.x),
-                     (TestHandFourHeavy.p, TestHandFourHeavy.x),
-                     (TestPendingHeavySign.p, TestPendingHeavySign.x)]:
-            t = depth_tree(p, x)
-            _, parent, order, e_times, _, _ = reference_depth_tree(p, x)
-            assert np.array_equal(t.parent, parent)
-            assert np.array_equal(t.order, order)
-            assert np.array_equal(t.e_times, e_times)
+        for cls in (TestHandThree, TestHandFourHeavy, TestPendingHeavySign,
+                    TestHandOnIntervalEnd):
+            for build, reference in REFERENCE_TREES.values():
+                assert_same_tree(build(cls.p, cls.x), reference(cls.p, cls.x))
 
 
 class TestSingleVertex:
@@ -431,18 +490,38 @@ class TestRandomRealizationIdentities:
 class TestExactChecksCanFail:
     @pytest.mark.parametrize("error, build", [(pending_mass_error, depth_tree),
                                               (generation_error, breadth_tree),
-                                              (width_error, breadth_tree)],
-                             ids=["pending", "generation", "width"])
+                                              (width_error, breadth_tree),
+                                              (corrected_pending_error, depth_tree)],
+                             ids=["pending", "generation", "width", "corrected"])
     @pytest.mark.parametrize("vector", ["uniform", "reference"])
     def test_holds_on_the_walk_and_fails_on_a_shifted_one(self, error, build, vector):
         n = 40
         p = uniform_pseq(n) if vector == "uniform" else approximating_pseq(REFERENCE_THETA, n)
+        checked = 0
         for k in range(10):
             x = sample_positions(p.n, RngState(32, k))
             exc, _, _ = particle_excursion(p, x)
             tree = build(p, x)
-            assert error(tree, exc, p) <= IDENTITY_TOL
+            err = error(tree, exc, p)
+            if err is None:  # corrected: a heavy vertex has a heavy child
+                continue
+            checked += 1
+            assert err <= IDENTITY_TOL
             assert error(tree, exc.shift_values(1e-6), p) > IDENTITY_TOL
+        assert checked >= 1
+
+    def test_corrected_skips_exactly_when_a_heavy_vertex_has_a_heavy_child(self):
+        p = approximating_pseq(REFERENCE_THETA, 20)
+        outcomes = set()
+        for k in range(200):
+            x = sample_positions(p.n, RngState(33, k))
+            exc, _, _ = particle_excursion(p, x)
+            tree = depth_tree(p, x)
+            par = tree.parent[: p.n_heavy]
+            heavy_child = bool(((par >= 0) & (par < p.n_heavy)).any())
+            assert (corrected_pending_error(tree, exc, p) is None) == heavy_child
+            outcomes.add(heavy_child)
+        assert outcomes == {True, False}
 
 
 class TestTreeLawSmoke:
@@ -546,7 +625,7 @@ class TestDiagnostics:
     def test_uniform_ratio_is_one(self):
         p = uniform_pseq(50)
         assert tail_ratio(p) == pytest.approx(1.0)
-        assert p.p_min == pytest.approx(0.02)
+        assert p.probs[-1] == pytest.approx(0.02)
 
     def test_reference_ratio_near_theta0_sq(self, reference_theta):
         p = approximating_pseq(reference_theta, 10_000)
