@@ -210,20 +210,33 @@ def continuous_path(times, values) -> CadlagPath:
     return CadlagPath(np.asarray(times, dtype=float), v, v.copy())
 
 
-def combine(paths, coeffs) -> CadlagPath:
-    """Pointwise linear combination, exact at shared breakpoints."""
-    if not paths:
-        raise ValueError("need at least one path")
-    lo, hi = paths[0].t0, paths[0].t1
-    for p in paths[1:]:
-        if p.t0 != lo or p.t1 != hi:
-            raise ValueError("paths must share a common domain")
-    t = np.unique(np.concatenate([p.times for p in paths]))
-    left = np.zeros_like(t)
-    right = np.zeros_like(t)
-    for p, c in zip(paths, coeffs):
-        left += c * p.left_limit(t)
-        right += c * p.value(t)
+def subtract_on_windows(x: CadlagPath, comps, windows) -> CadlagPath:
+    """x minus every path of comps, each subtracted only on its own window.
+
+    windows holds one (t_open, t_close) pair per component, and a component
+    must be +0.0 outside its window.  The result is bitwise the pointwise
+    combination of x and the components with coefficients 1, -1, ..., -1
+    on the union of their breakpoints: adding -0.0 changes no value, so
+    only the union-grid points inside each window are touched.  x is read
+    at its own breakpoints and evaluated only at the component breakpoints
+    it lacks.
+    """
+    if not comps:
+        return x
+    ct = np.concatenate([c.times for c in comps])
+    pos = np.minimum(np.searchsorted(x.times, ct), len(x) - 1)
+    extra = np.unique(ct[x.times[pos] != ct])
+    at = np.searchsorted(x.times, extra)
+    t = np.insert(x.times, at, extra)
+    # 0.0 + turns -0.0 into +0.0, as summing onto a zero array does
+    left = 0.0 + np.insert(x.left, at, x.left_limit(extra))
+    right = 0.0 + np.insert(x.right, at, x.value(extra))
+    for c, (t_open, t_close) in zip(comps, windows):
+        lo = np.searchsorted(t, t_open)
+        hi = np.searchsorted(t, t_close, side="right")
+        w = t[lo:hi]
+        left[lo:hi] += -1.0 * c.left_limit(w)
+        right[lo:hi] += -1.0 * c.value(w)
     return CadlagPath(t, left, right)
 
 

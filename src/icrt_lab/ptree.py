@@ -22,7 +22,7 @@ from .errors import (
     SignError,
     TieError,
 )
-from .paths import CadlagPath, Theta, combine, sup_distance
+from .paths import CadlagPath, Theta, subtract_on_windows, sup_distance
 from .rng import RngState
 
 TIE_TOL = 1e-12
@@ -486,55 +486,40 @@ def corrected_excursion(tree: RootedTree, exc: CadlagPath, p: PSeq) -> CadlagPat
     Each child v of a heavy vertex contributes p_v from the heavy parent's
     jump time until its own examination interval, through which it ramps
     back to zero.  With no heavy vertices this is the excursion itself.
+    The summed ramp is +0.0 before its first event, so it is subtracted
+    only from there on.
     """
     _require(tree, "depth")
-    n_heavy = p.n_heavy
-    if n_heavy == 0:
-        return exc
     probs = p.probs
-    jump_t, jump_v, kink_t, kink_s = [], [], [], []
-    for i in range(n_heavy):
-        kids = tree.children(i)
-        if kids.size == 0:
-            continue
-        jump_t.append(float(tree.positions[i]))
-        jump_v.append(float(probs[kids].sum()))
-        for v in kids.tolist():
-            e_v = min(float(tree.e_times[v]), 1.0)
-            kink_t.extend([e_v - probs[v], e_v])
-            kink_s.extend([-1.0, 1.0])
-    if not jump_t:
+    heavy = [i for i in range(p.n_heavy) if tree.kid_end[i] > tree.kid_start[i]]
+    if not heavy:
         return exc
-    ev_t = np.concatenate([jump_t, kink_t])
-    ev_jump = np.concatenate([jump_v, np.zeros(len(kink_t))])
-    ev_slope = np.concatenate([np.zeros(len(jump_t)), kink_s])
-    keep = ev_t < 1.0  # a slope restore at the domain end has no effect
-    ev_t, ev_jump, ev_slope = ev_t[keep], ev_jump[keep], ev_slope[keep]
-    order = np.argsort(ev_t, kind="stable")
+    kids = [tree.children(i) for i in heavy]
+    kid_all = np.concatenate(kids)
+    e = tree.e_times[kid_all]
+    # events: each heavy parent's jump, then per child a slope of -1 from
+    # the start of its examination interval and its restore at the end
+    ev_t = np.concatenate([tree.positions[heavy],
+                           np.column_stack([e - probs[kid_all], e]).ravel()])
+    ev_jump = np.concatenate([[probs[k].sum() for k in kids], np.zeros(2 * kid_all.size)])
+    ev_slope = np.concatenate([np.zeros(len(heavy)), np.tile([-1.0, 1.0], kid_all.size)])
+    keep = np.flatnonzero(ev_t < 1.0)  # a slope restore at the domain end has no effect
+    order = keep[np.argsort(ev_t[keep], kind="stable")]
     ev_t, ev_jump, ev_slope = ev_t[order], ev_jump[order], ev_slope[order]
     t_u, start = np.unique(ev_t, return_index=True)
-    jumps = np.add.reduceat(ev_jump, start) if ev_t.size else np.array([])
-    slope_steps = np.add.reduceat(ev_slope, start) if ev_t.size else np.array([])
-    if t_u[0] > 0.0:
-        times = np.concatenate([[0.0], t_u, [1.0]])
-        jumps = np.concatenate([[0.0], jumps, [0.0]])
-        slope_steps = np.concatenate([[0.0], slope_steps, [0.0]])
-    else:
-        times = np.concatenate([t_u, [1.0]])
-        jumps = np.concatenate([jumps, [0.0]])
-        slope_steps = np.concatenate([slope_steps, [0.0]])
-    slopes = np.cumsum(slope_steps)
-    left = np.zeros(times.size)
-    right = np.zeros(times.size)
-    acc = 0.0
-    for k in range(times.size):
-        left[k] = acc
-        acc += jumps[k]
-        right[k] = acc
-        if k + 1 < times.size:
-            acc += slopes[k] * (times[k + 1] - times[k])
-    ramp = CadlagPath(times, left, right)
-    return combine([exc, ramp], [1.0, -1.0])
+    # pad with 0 and 1; a heavy root's jump already sits at 0
+    cut = int(t_u[0] == 0.0)
+    times = np.concatenate([[0.0], t_u, [1.0]])[cut:]
+    jumps = np.concatenate([[0.0], np.add.reduceat(ev_jump, start), [0.0]])[cut:]
+    slope_steps = np.concatenate([[0.0], np.add.reduceat(ev_slope, start), [0.0]])[cut:]
+    # the ramp alternates a jump at each time with a slope over the next
+    # cell; cumsum adds the steps in that order
+    steps = np.empty(2 * times.size - 1)
+    steps[0::2] = jumps
+    steps[1::2] = np.cumsum(slope_steps)[:-1] * np.diff(times)
+    acc = np.cumsum(steps)
+    ramp = CadlagPath(times, np.concatenate([[0.0], acc[1::2]]), acc[0::2])
+    return subtract_on_windows(exc, [ramp], [(float(t_u[0]), 1.0)])
 
 
 def corrected_pending_error(tree: RootedTree, exc: CadlagPath, p: PSeq):

@@ -21,6 +21,7 @@ from .paths import (
     first_passage_below,
     running_infimum_forward,
     sample_brownian_bridge,
+    subtract_on_windows,
     vervaat_transform,
 )
 from .rng import RngState
@@ -86,33 +87,8 @@ def reflect_component(x: CadlagPath, iv: JumpInterval) -> CadlagPath:
     )
 
 
-def _subtract_components(x: CadlagPath, comps, ivs) -> CadlagPath:
-    """x minus every component, each subtracted only on its own window.
-
-    Bitwise the path the pointwise combination of x and the components
-    with coefficients 1, -1, ..., -1 gives on the union of their
-    breakpoints: a component is +0.0 outside [t_open, t_close], and adding
-    -0.0 changes no value, so only the union-grid points inside each window
-    are touched.  x is read at its own breakpoints and evaluated only at
-    the component breakpoints it lacks (crossing and closing times).
-    """
-    if not comps:
-        return x
-    ct = np.concatenate([c.times for c in comps])
-    pos = np.minimum(np.searchsorted(x.times, ct), len(x) - 1)
-    extra = np.unique(ct[x.times[pos] != ct])
-    at = np.searchsorted(x.times, extra)
-    t = np.insert(x.times, at, extra)
-    # 0.0 + turns -0.0 into +0.0, as summing onto a zero array does
-    left = 0.0 + np.insert(x.left, at, x.left_limit(extra))
-    right = 0.0 + np.insert(x.right, at, x.value(extra))
-    for c, iv in zip(comps, ivs):
-        lo = np.searchsorted(t, iv.t_open)
-        hi = np.searchsorted(t, iv.t_close, side="right")
-        w = t[lo:hi]
-        left[lo:hi] += -1.0 * c.left_limit(w)
-        right[lo:hi] += -1.0 * c.value(w)
-    return CadlagPath(t, left, right)
+def _windows(ivs) -> list[tuple[float, float]]:
+    return [(iv.t_open, iv.t_close) for iv in ivs]
 
 
 def reflected_excursion(x: CadlagPath) -> CadlagPath:
@@ -123,7 +99,7 @@ def reflected_excursion(x: CadlagPath) -> CadlagPath:
     exactly), nonnegative, and shares x's endpoints.
     """
     ivs = jump_intervals(x)
-    return _subtract_components(x, [reflect_component(x, iv) for iv in ivs], ivs)
+    return subtract_on_windows(x, [reflect_component(x, iv) for iv in ivs], _windows(ivs))
 
 
 def infimum_range_measure(x: CadlagPath, s: float) -> float:
@@ -181,8 +157,8 @@ def truncated_coupling(theta: Theta, keep: int, bridge: CadlagPath,
     x_full, _ = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=jump_times))
     ivs = jump_intervals(x_full)
     comps = [reflect_component(x_full, iv) for iv in ivs]
-    y_full = _subtract_components(x_full, comps, ivs)
+    y_full = subtract_on_windows(x_full, comps, _windows(ivs))
     largest = sorted(ivs, key=lambda iv: (-iv.size, iv.index))[:keep]
     kept = sorted(largest, key=lambda iv: iv.index)
-    y_trunc = _subtract_components(x_full, [comps[iv.index] for iv in kept], kept)
+    y_trunc = subtract_on_windows(x_full, [comps[iv.index] for iv in kept], _windows(kept))
     return y_trunc, y_full

@@ -307,25 +307,33 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
             marginals[k] = exc.value(u_star) + eps
         return ks_two_sample(widths, marginals, suite="theorem2/width-marginal")
 
-    return _run_checks(seed, [(build_sides, partial(spanning_check, col=0, stat="total-length")),
-                              (build_sides, partial(spanning_check, col=1, stat="leaf-depth")),
-                              (marginal_report, _as_built)])
+    # a one-leaf tree is one edge: its leaf depth is its total length
+    columns = ["total-length"] if leaves == 1 else ["total-length", "leaf-depth"]
+    return _run_checks(seed, [(build_sides, partial(spanning_check, col=col, stat=stat))
+                              for col, stat in enumerate(columns)]
+                       + [(marginal_report, _as_built)])
 
 
 # ---------------------------------------------------------------------------
 # 5. local-time identity
 # ---------------------------------------------------------------------------
 
-def jeulin_check(m: int, n_samples: int, rng: RngState, u: float = 0.5,
-                 band: float = 0.02) -> TestReport:
+# The fixed time-changed point and the occupation band's width.
+JEULIN_U = 0.5
+JEULIN_BAND = 0.02
+
+
+def jeulin_check(m: int, n_samples: int, rng: RngState) -> TestReport:
     """Distributional check at a fixed time-changed point of the excursion.
 
-    Side A: half the occupation density of a sampled excursion at level u/2.
-    Side B: an independent excursion evaluated at the inverse reciprocal
-    time change of u.  Both populations follow one law; the report carries
-    the two-sample comparison.  Both sides use the grid-minimum continuity
+    Side A: half the occupation density of a sampled excursion at level
+    u/2, u = JEULIN_U, over a band of width JEULIN_BAND.  Side B: an
+    independent excursion evaluated at the inverse reciprocal time change
+    of u.  Both populations follow one law; the report carries the
+    two-sample comparison.  Both sides use the grid-minimum continuity
     correction (the relocated origin sits slightly above the true infimum).
     """
+    u, band = JEULIN_U, JEULIN_BAND
     eps = MONITORING_BETA / np.sqrt(m)
     level = u / 2.0 - eps
     side_a = np.empty(n_samples)
@@ -341,8 +349,7 @@ def jeulin_check(m: int, n_samples: int, rng: RngState, u: float = 0.5,
     return rep
 
 
-def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0,
-                 u: float = 0.5):
+def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0):
     """Occupation-density identity at a fixed point plus the independent
     mean cross-check of the total reciprocal integral against twice the
     maximum."""
@@ -368,7 +375,7 @@ def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0,
                           extra={"mean_integral": totals.mean(), "mean_2max": maxes.mean(),
                                  "combined_se": se})
 
-    return _run_checks(seed, [(partial(jeulin_check, grid, replicates, u=u), _as_built),
+    return _run_checks(seed, [(partial(jeulin_check, grid, replicates), _as_built),
                               (mean_report, _as_built)])
 
 

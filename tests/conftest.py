@@ -27,3 +27,23 @@ def make_single_jump():
     return CadlagPath(np.array([0.0, 0.2, 1.0]),
                       np.array([0.0, 0.2, 0.0]),
                       np.array([0.0, 0.5, 0.0]))
+
+
+def union_grid_combination(paths, coeffs):
+    """Pointwise linear combination of paths on the union of their
+    breakpoints, each path evaluated on the whole grid.  Test-only oracle
+    for the window-only path difference, paths.subtract_on_windows."""
+    from icrt_lab.paths import CadlagPath
+
+    t = np.unique(np.concatenate([p.times for p in paths]))
+    left = np.zeros_like(t)
+    right = np.zeros_like(t)
+    for p, c in zip(paths, coeffs):
+        left += c * p.left_limit(t)
+        right += c * p.value(t)
+    return CadlagPath(t, left, right)
+
+
+def assert_same_bits(a, b):
+    for field in ("times", "left", "right"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field

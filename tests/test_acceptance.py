@@ -68,7 +68,7 @@ def test_criterion_4_spanning_reduction_law():
 
 def test_criterion_5_local_time_identity():
     t0 = time.time()
-    reports, ok = suite_jeulin(grid=2 ** 14, replicates=5000, seed=0, u=0.5)
+    reports, ok = suite_jeulin(grid=2 ** 14, replicates=5000, seed=0)
     ks = reports[0]
     mean = reports[-1]
     _report("criterion-5 local-time-identity", ok, t0,

@@ -4,11 +4,12 @@
 sampler.  No module except the package's `__init__` (which re-exports)
 imports a name it does not use.  `verify` builds `RngState` in one
 function and names its streams, never numbering them by offsets.
-`reflect` subtracts reflection components in one helper, called by both
-`reflected_excursion` and `truncated_coupling`, and never through
-`paths.combine`.  Every public module-level function and class, and every
-public method and property of a package class, has a caller in the package
-or the benchmark, not only in the tests.
+Every path difference goes through one window-only routine,
+`paths.subtract_on_windows`, called by `reflected_excursion`,
+`truncated_coupling` and `corrected_excursion`; no module defines or calls
+a whole-grid `combine`.  Every public module-level function and class, and
+every public method and property of a package class, has a caller in the
+package or the benchmark, not only in the tests.
 """
 
 import ast
@@ -101,14 +102,17 @@ def test_verify_streams_have_no_integer_offsets():
 
 
 def test_reflect_subtracts_components_in_one_place():
-    # one subtraction site: no pointwise combination on the whole union grid
-    tree = _tree(PACKAGE / "reflect.py")
-    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                for a in n.names}
-    assert "combine" not in imported
-    assert _calls(tree, ("combine",)) == []
-    owners = {owner for owner, _, _ in _calls(tree, ("_subtract_components",))}
-    assert owners == {"reflected_excursion", "truncated_coupling"}
+    # no pointwise combination on the whole union grid anywhere: every path
+    # difference goes through the one window-only routine
+    trees = {path.stem: _tree(path) for path in MODULES}
+    defined = [f"{mod}.{node.name}" for mod, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "combine"]
+    assert defined == []
+    assert [mod for mod, tree in trees.items() if _calls(tree, ("combine",))] == []
+    owners = {(mod, owner) for mod, tree in trees.items()
+              for owner, _, _ in _calls(tree, ("subtract_on_windows",))}
+    assert owners == {("reflect", "reflected_excursion"), ("reflect", "truncated_coupling"),
+                      ("ptree", "corrected_excursion")}
 
 
 # Public names (`name` or `Class.method`) allowed to have no caller outside

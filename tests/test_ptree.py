@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from icrt_lab.errors import DuplicatePositionError, SignError, TieError
-from icrt_lab.paths import sup_distance
+from icrt_lab.paths import CadlagPath, sup_distance
 from icrt_lab.ptree import (
     PSeq,
     approximating_pseq,
@@ -31,6 +31,8 @@ from icrt_lab.ptree import (
 from icrt_lab.rng import RngState
 from icrt_lab.stats import chi_square_gof, ks_two_sample
 from icrt_lab.verify import IDENTITY_TOL, REFERENCE_THETA
+
+from conftest import assert_same_bits, union_grid_combination
 
 
 def reference_breadth_tree(p, x):
@@ -385,6 +387,99 @@ class TestDepthTreeOracle:
                     TestHandOnIntervalEnd):
             for build, reference in REFERENCE_TREES.values():
                 assert_same_tree(build(cls.p, cls.x), reference(cls.p, cls.x))
+
+
+def reference_corrected_excursion(tree, exc, p):
+    """Per-child event loop, a sequential accumulation of the ramp, and the
+    pointwise combination on the whole union grid.  Test-only oracle for
+    ptree.corrected_excursion."""
+    probs = p.probs
+    jump_t, jump_v, kink_t, kink_s = [], [], [], []
+    for i in range(p.n_heavy):
+        kids = tree.children(i)
+        if kids.size == 0:
+            continue
+        jump_t.append(float(tree.positions[i]))
+        jump_v.append(float(probs[kids].sum()))
+        for v in kids.tolist():
+            e_v = min(float(tree.e_times[v]), 1.0)
+            kink_t.extend([e_v - probs[v], e_v])
+            kink_s.extend([-1.0, 1.0])
+    if not jump_t:
+        return exc
+    ev_t = np.concatenate([jump_t, kink_t])
+    ev_jump = np.concatenate([jump_v, np.zeros(len(kink_t))])
+    ev_slope = np.concatenate([np.zeros(len(jump_t)), kink_s])
+    keep = ev_t < 1.0
+    ev_t, ev_jump, ev_slope = ev_t[keep], ev_jump[keep], ev_slope[keep]
+    order = np.argsort(ev_t, kind="stable")
+    ev_t, ev_jump, ev_slope = ev_t[order], ev_jump[order], ev_slope[order]
+    t_u, start = np.unique(ev_t, return_index=True)
+    jumps = np.add.reduceat(ev_jump, start)
+    slope_steps = np.add.reduceat(ev_slope, start)
+    if t_u[0] > 0.0:
+        times = np.concatenate([[0.0], t_u, [1.0]])
+        jumps = np.concatenate([[0.0], jumps, [0.0]])
+        slope_steps = np.concatenate([[0.0], slope_steps, [0.0]])
+    else:
+        times = np.concatenate([t_u, [1.0]])
+        jumps = np.concatenate([jumps, [0.0]])
+        slope_steps = np.concatenate([slope_steps, [0.0]])
+    slopes = np.cumsum(slope_steps)
+    left = np.zeros(times.size)
+    right = np.zeros(times.size)
+    acc = 0.0
+    for k in range(times.size):
+        left[k] = acc
+        acc += jumps[k]
+        right[k] = acc
+        if k + 1 < times.size:
+            acc += slopes[k] * (times[k + 1] - times[k])
+    return union_grid_combination([exc, CadlagPath(times, left, right)], [1.0, -1.0])
+
+
+# Dyadic realization whose last examined vertex is a heavy vertex's child:
+# p = (0.5, 0.25, 0.125, 0.125) with vertex 0 heavy, x = (0.375, 0.25,
+# 0.625, 0.75).  The root is vertex 1 with child 0; vertex 0 has children
+# (2, 3) with examination ends 0.875 and 1.0, so the restore of 2 and the
+# slope of 3 share the time 0.875 and the restore of 3 falls at the end.
+class TestHandLastChildOfHeavy:
+    p = PSeq(np.array([0.5, 0.25, 0.125, 0.125]), n_heavy=1)
+    x = [0.375, 0.25, 0.625, 0.75]
+
+    def test_structure(self):
+        t = depth_tree(self.p, self.x)
+        assert t.root == 1 and list(t.order) == [1, 0, 2, 3]
+        assert list(t.children(0)) == [2, 3]
+        assert list(t.e_times) == [0.75, 0.25, 0.875, 1.0]
+
+    def test_two_route_agreement(self):
+        t = depth_tree(self.p, self.x)
+        exc, _, _ = particle_excursion(self.p, self.x)
+        assert corrected_pending_error(t, exc, self.p) <= 1e-12
+
+
+class TestCorrectedExcursionOracle:
+    """corrected_excursion against the per-child event loop combined on the
+    whole union grid, bit for bit."""
+
+    @pytest.mark.parametrize("cls", [TestHandFourHeavy, TestPendingHeavySign,
+                                     TestHandLastChildOfHeavy])
+    def test_hand_realizations(self, cls):
+        t = depth_tree(cls.p, cls.x)
+        exc, _, _ = particle_excursion(cls.p, cls.x)
+        assert_same_bits(corrected_excursion(t, exc, cls.p),
+                         reference_corrected_excursion(t, exc, cls.p))
+
+    @pytest.mark.parametrize("n", [20, 50, 1000, 10_000])
+    def test_sampled_trees(self, n):
+        p = approximating_pseq(REFERENCE_THETA, n)
+        for k in range(5 if n == 10_000 else 40):
+            x = sample_positions(p.n, RngState(32, k))
+            exc, _, _ = particle_excursion(p, x)
+            t = depth_tree(p, x)
+            assert_same_bits(corrected_excursion(t, exc, p),
+                             reference_corrected_excursion(t, exc, p))
 
 
 class TestSingleVertex:

@@ -5,7 +5,6 @@ from icrt_lab.errors import NotExcursionError
 from icrt_lab.paths import (
     CadlagPath,
     build_ei_bridge,
-    combine,
     continuous_path,
     sample_brownian_bridge,
     sup_distance,
@@ -22,7 +21,7 @@ from icrt_lab.reflect import (
 )
 from icrt_lab.rng import RngState
 
-from conftest import make_single_jump, make_tent
+from conftest import assert_same_bits, make_single_jump, make_tent, union_grid_combination
 
 
 def make_nested():
@@ -77,12 +76,7 @@ def combine_oracle(x, ivs):
     combination on the whole union grid: the construction the window-only
     subtraction replaced."""
     comps = [reflect_component(x, iv) for iv in ivs]
-    return combine([x] + comps, [1.0] + [-1.0] * len(comps)) if comps else x
-
-
-def assert_same_bits(a, b):
-    for field in ("times", "left", "right"):
-        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+    return union_grid_combination([x] + comps, [1.0] + [-1.0] * len(comps)) if comps else x
 
 
 class TestJumpIntervals:

@@ -189,3 +189,12 @@ class TestRunChecks:
         for theta in ("brownian", "reference"):
             assert [n for n in names if n.startswith(f"theorem1/{theta}-J1-")] == [
                 f"theorem1/{theta}-J1-total-length"]
+
+    @pytest.mark.parametrize("leaves, stats", [(1, ["total-length"]),
+                                               (2, ["total-length", "leaf-depth"])])
+    def test_theorem2_checks_are_distinct(self, leaves, stats):
+        # a one-leaf tree is one edge: leaf depth would repeat total length
+        reports, _ = verify.suite_theorem2(n=200, replicates=2, leaves=leaves, seed=5,
+                                           marginal_reps=2)
+        names = [r.suite for r in reports if not r.extra.get("retried", False)]
+        assert names == [f"theorem2/spanning-{s}" for s in stats] + ["theorem2/width-marginal"]
