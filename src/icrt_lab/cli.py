@@ -112,10 +112,10 @@ def cmd_sample(args) -> int:
         elif kind == "width":
             p = _pseq_from_config(cfg)
             tree = breadth_tree(p, sample_positions(p.n, rng))
-            w_fn, wbar_fn = width_profile(tree, p)
+            width, cumulative = width_profile(tree, p)
             rows = "\n".join(
-                f"{g * p.sigma:.17g},{w_fn.values[g]:.17g},{wbar_fn.values[g]:.17g}"
-                for g in range(w_fn.values.size))
+                f"{g * p.sigma:.17g},{width[g]:.17g},{cumulative[g]:.17g}"
+                for g in range(width.size))
             text = f"height,width,cumulative\n{rows}\n"
         else:
             return _usage_error(f"unknown sample kind {kind!r}")

@@ -4,8 +4,11 @@ trees, and spanning reductions of discrete trees.
 The line-breaking sampler cuts the half line at the superposition of a
 quadratic-intensity planar process (projected) and one linear-rate process
 per atom, gluing each new segment at its joinpoint; the stage-J tree spans
-the root and J leaves.  The function sampler reads leaf depths and
-branchpoint depths off an excursion at given times.
+the root and J leaves.  A reduced tree listed depth-first is fixed by its
+leaf depths and the branch depth between consecutive leaves; one builder
+reads it so, fed by the function sampler (path values and interval infima
+at given times) and by the spanning reduction of a discrete tree (ancestor
+chain lengths and common-prefix lengths).
 """
 
 from __future__ import annotations
@@ -198,6 +201,53 @@ def line_breaking_tree(theta: Theta, leaves: int, rng: RngState) -> EdgeTree:
 
 
 # ---------------------------------------------------------------------------
+# Reduced trees
+# ---------------------------------------------------------------------------
+
+def _reduced_tree(order, depths, branch) -> EdgeTree:
+    """Reduced tree on the root and leaves listed depth-first.
+
+    Leaf i carries label order[i] + 1 and sits at depths[i]; leaves i and
+    i + 1 branch at depth branch[i].  Depth coincidences within MERGE_TOL
+    merge into one node.
+    """
+    parent = [-1]
+    lengths = [0.0]
+    leaf_nodes = {}
+
+    def new_node(par: int, ln: float) -> int:
+        parent.append(par)
+        lengths.append(ln)
+        return len(parent) - 1
+
+    spine = [(0, 0.0)]  # nodes along the path to the latest leaf
+    for i in range(len(order)):
+        label = int(order[i]) + 1
+        d = float(depths[i])
+        if i > 0:
+            b = float(branch[i - 1])
+            popped = None
+            while len(spine) > 1 and spine[-1][1] > b + MERGE_TOL:
+                popped = spine.pop()
+            top, td = spine[-1]
+            if b - td > MERGE_TOL:
+                # split the spine edge toward the popped node at depth b
+                mid = new_node(top, b - td)
+                pop_node, pop_depth = popped
+                parent[pop_node] = mid
+                lengths[pop_node] = pop_depth - b
+                spine.append((mid, b))
+        base, bd = spine[-1]
+        if d - bd <= MERGE_TOL:
+            leaf_nodes[label] = base  # depth coincidence: label the base node
+            continue
+        leaf = new_node(base, d - bd)
+        leaf_nodes[label] = leaf
+        spine.append((leaf, d))
+    return EdgeTree(np.array(parent), np.array(lengths), leaf_nodes)
+
+
+# ---------------------------------------------------------------------------
 # Sampling a function
 # ---------------------------------------------------------------------------
 
@@ -226,53 +276,12 @@ def sample_function_tree(h: CadlagPath, sample_times,
     depths = np.array([h.value(t) for t in u_sorted]) + leaf_shift
     branch = np.array([h.interval_inf(u_sorted[i], u_sorted[i + 1])
                        for i in range(u.size - 1)])
-    parent = [-1]
-    lengths = [0.0]
-    leaf_nodes = {}
-
-    def new_node(par: int, ln: float) -> int:
-        parent.append(par)
-        lengths.append(ln)
-        return len(parent) - 1
-
-    spine = [(0, 0.0)]  # nodes along the path to the latest leaf
-    for i in range(u.size):
-        label = int(order[i]) + 1
-        d = float(depths[i])
-        if i > 0:
-            b = float(branch[i - 1])
-            popped = None
-            while len(spine) > 1 and spine[-1][1] > b + MERGE_TOL:
-                popped = spine.pop()
-            top, td = spine[-1]
-            if b - td > MERGE_TOL:
-                # split the spine edge toward the popped node at depth b
-                mid = new_node(top, b - td)
-                pop_node, pop_depth = popped
-                parent[pop_node] = mid
-                lengths[pop_node] = pop_depth - b
-                spine.append((mid, b))
-        base, bd = spine[-1]
-        if d - bd <= MERGE_TOL:
-            leaf_nodes[label] = base  # depth coincidence: label the base node
-            continue
-        leaf = new_node(base, d - bd)
-        leaf_nodes[label] = leaf
-        spine.append((leaf, d))
-    return EdgeTree(np.array(parent), np.array(lengths), leaf_nodes)
+    return _reduced_tree(order, depths, branch)
 
 
 # ---------------------------------------------------------------------------
 # Spanning reduction of a discrete tree
 # ---------------------------------------------------------------------------
-
-def _root_distance(v: int, parent: np.ndarray) -> int:
-    steps = 0
-    while parent[v] != -1:
-        v = int(parent[v])
-        steps += 1
-    return steps
-
 
 def spanning_subtree(tree: RootedTree, p: PSeq, leaves: int,
                      rng: RngState | None = None, vertices=None) -> EdgeTree:
@@ -282,6 +291,10 @@ def spanning_subtree(tree: RootedTree, p: PSeq, leaves: int,
     contracted through unmarked degree-2 vertices, leaving integer edge
     lengths.  Raises DuplicateSampleError on a repeated draw and
     DegenerateError when the root itself is drawn.
+
+    Root-first ancestor chains in lexicographic order list the vertices
+    depth-first, ancestors first; a vertex's depth is its chain length - 1
+    and two vertices branch at their common prefix length - 1.
     """
     if vertices is None:
         if rng is None:
@@ -296,39 +309,18 @@ def spanning_subtree(tree: RootedTree, p: PSeq, leaves: int,
     if tree.root in vertices:
         raise DegenerateError("sampled the root")
     parent = tree.parent
-    union = set(vertices) | {int(tree.root)}
+    chains = []
     for v in vertices:
-        w = v
-        while parent[w] != -1:
-            w = int(parent[w])
-            union.add(w)
-    child_sets: dict = {v: set() for v in union}
-    for v in union:
-        if parent[v] != -1:
-            child_sets[int(parent[v])].add(v)
-    marked = set(vertices) | {int(tree.root)}
-    keep = {v for v in union if v in marked or len(child_sets[v]) >= 2}
-    node_of = {int(tree.root): 0}
-    parent_out = [-1]
-    lengths_out = [0.0]
-
-    def ensure(v: int) -> int:
-        if v in node_of:
-            return node_of[v]
-        w = v
-        steps = 0
-        while True:
-            w = int(parent[w])
-            steps += 1
-            if w in keep:
-                break
-        par_node = ensure(w)
-        parent_out.append(par_node)
-        lengths_out.append(float(steps))
-        node_of[v] = len(parent_out) - 1
-        return node_of[v]
-
-    for v in sorted(keep, key=lambda q: _root_distance(q, parent)):
-        ensure(v)
-    leaf_nodes = {i + 1: node_of[v] for i, v in enumerate(vertices)}
-    return EdgeTree(np.array(parent_out), np.array(lengths_out), leaf_nodes)
+        chain = [v]
+        while parent[chain[-1]] != -1:
+            chain.append(int(parent[chain[-1]]))
+        chains.append(chain[::-1])
+    order = sorted(range(len(chains)), key=chains.__getitem__)
+    walk = [chains[i] for i in order]
+    branch = []
+    for a, b in zip(walk, walk[1:]):
+        k = 0  # b sorts after a, so b is never a prefix of a
+        while k < len(a) and a[k] == b[k]:
+            k += 1
+        branch.append(k - 1.0)
+    return _reduced_tree(order, [len(c) - 1.0 for c in walk], branch)

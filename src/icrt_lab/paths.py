@@ -43,7 +43,6 @@ class Theta:
 
     theta0: float
     atoms: tuple[float, ...]
-    resorted: bool = False
 
     @property
     def length(self) -> int:
@@ -66,15 +65,13 @@ def validate_theta(theta0: float, atoms) -> Theta:
     if theta0 < 0.0 or any(a < 0.0 for a in atoms):
         raise SignError("all entries must be nonnegative")
     atoms = [a for a in atoms if a > 0.0]
-    resorted = any(atoms[i] < atoms[i + 1] for i in range(len(atoms) - 1))
-    if resorted:
-        atoms = sorted(atoms, reverse=True)
+    atoms = sorted(atoms, reverse=True)
     sq = theta0 ** 2 + sum(a ** 2 for a in atoms)
     if abs(sq - 1.0) > THETA_NORM_TOL:
         raise NormError(f"theta0^2 + sum(theta_i^2) = {sq:.8f}, expected 1")
     if atoms and theta0 == 0.0:
         raise ZeroTheta0Error("finite sequences with atoms require theta0 > 0")
-    return Theta(theta0=theta0, atoms=tuple(atoms), resorted=resorted)
+    return Theta(theta0=theta0, atoms=tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,9 @@ class PSeq:
         if not 0 <= self.n_heavy <= p.size:
             raise ValueError("n_heavy out of range")
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "_cum", np.cumsum(p))
+        # interior boundaries only: the sum may fall short of 1 by 1e-12,
+        # and a draw above it must still land on the last index
+        object.__setattr__(self, "_bounds", np.cumsum(p)[:-1])
 
     @property
     def n(self) -> int:
@@ -72,7 +74,7 @@ class PSeq:
     def draw(self, rng: RngState, size=None):
         """Sample vertex indices from the vector."""
         u = rng.gen.random(size)
-        return np.searchsorted(self._cum, u, side="right")
+        return np.searchsorted(self._bounds, u, side="right")
 
 
 def uniform_pseq(n: int) -> PSeq:
@@ -135,11 +137,7 @@ class RootedTree:
     @property
     def heights(self) -> np.ndarray:
         if self._heights is None:
-            ht = [0] * self.n
-            par = self.parent.tolist()
-            for v in self.order[1:].tolist():
-                ht[v] = ht[par[v]] + 1
-            self._heights = np.asarray(ht, dtype=np.int64)
+            self._heights = _path_accumulate(self, np.ones(self.n, dtype=np.int64))
         return self._heights
 
     def validate(self) -> None:
@@ -367,13 +365,16 @@ def _require(tree: RootedTree, kind: str) -> None:
 
 
 def _path_accumulate(tree: RootedTree, per_vertex: np.ndarray) -> np.ndarray:
-    """acc[v] = sum of per_vertex over the path from the root's child to v."""
-    acc = [0.0] * tree.n
+    """acc[v] = sum of per_vertex over the path from the root's child to v,
+    in the dtype of per_vertex.  Integer weights add as Python ints, which
+    small values do without allocating; a float sum starts from int 0,
+    which adds exactly."""
+    acc = [0] * tree.n
     par = tree.parent.tolist()
     pv = per_vertex.tolist()
     for v in tree.order[1:].tolist():
         acc[v] = acc[par[v]] + pv[v]
-    return np.asarray(acc)
+    return np.asarray(acc, dtype=per_vertex.dtype)
 
 
 def _pending_mass(tree: RootedTree, w: np.ndarray) -> np.ndarray:
@@ -433,7 +434,7 @@ def width_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
     band the walk equals the band's weight (width_profile)."""
     _require(tree, "breadth")
     width, cumulative = width_profile(tree, p)
-    return float(np.abs(exc.value(cumulative.values) - width.values).max())
+    return float(np.abs(exc.value(cumulative) - width).max())
 
 
 def _height_step_path(tree: RootedTree, t: np.ndarray) -> CadlagPath:
@@ -551,41 +552,25 @@ def corrected_pending_error(tree: RootedTree, exc: CadlagPath, p: PSeq):
 # Width profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GenerationStepFunction:
-    """Step function constant on height bands [g*sigma, (g+1)*sigma)."""
-
-    sigma: float
-    values: np.ndarray
-
-    def __call__(self, h):
-        h_arr = np.asarray(h, dtype=float)
-        g = np.clip(np.floor(h_arr / self.sigma).astype(int), 0, self.values.size - 1)
-        out = np.where(h_arr < 0, 0.0, self.values[g])
-        return float(out) if np.isscalar(h) else out
-
-
-def width_profile(tree: RootedTree, p: PSeq):
-    """Per-generation weight and its cumulative version on the sigma-scaled
-    height axis, as step functions of height: band g holds generation g's
-    weight and the weight of generations 0..g-1.  A final band of weight 0
-    and cumulative weight 1 closes both."""
+def width_profile(tree: RootedTree, p: PSeq) -> tuple[np.ndarray, np.ndarray]:
+    """Per-generation weight and its cumulative version, one entry per
+    height band [g*sigma, (g+1)*sigma): band g holds generation g's weight
+    and the weight of generations 0..g-1.  A final band of weight 0 and
+    cumulative weight 1 closes both."""
     ht = tree.heights
     probs = p.probs
     max_h = int(ht.max())
     masses = np.bincount(ht, weights=probs, minlength=max_h + 2)  # final band 0
     cum_before = np.concatenate([[0.0], np.cumsum(masses)[:-1]])
     cum_before[max_h + 1] = 1.0
-    sigma = p.sigma
-    return GenerationStepFunction(sigma, masses), GenerationStepFunction(sigma, cum_before)
+    return masses, cum_before
 
 
-def width_at_quantile(width: GenerationStepFunction,
-                      cumulative: GenerationStepFunction, u: float) -> float:
+def width_at_quantile(width: np.ndarray, cumulative: np.ndarray, u: float) -> float:
     """Width at the first band where the cumulative profile reaches u."""
-    g = int(np.searchsorted(cumulative.values, u, side="left"))
-    g = min(g, width.values.size - 1)
-    return float(width.values[g])
+    g = int(np.searchsorted(cumulative, u, side="left"))
+    g = min(g, width.size - 1)
+    return float(width[g])
 
 
 # ---------------------------------------------------------------------------

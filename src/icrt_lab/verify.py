@@ -297,8 +297,7 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
         for k in range(marginal_reps):
             stream = _stream(rng, "theorem2/width-marginal/tree", k)
             tr = breadth_tree(pm, sample_positions(pm.n, stream))
-            w_fn, wbar_fn = width_profile(tr, pm)
-            widths[k] = width_at_quantile(w_fn, wbar_fn, u_star) / pm.sigma
+            widths[k] = width_at_quantile(*width_profile(tr, pm), u_star) / pm.sigma
         marginals = np.empty(marginal_reps)
         eps = MONITORING_BETA / np.sqrt(marginal_grid)  # grid-minimum re-base offset
         for k in range(marginal_reps):

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from icrt_lab.icrt import (
     spanning_subtree,
 )
 from icrt_lab.paths import continuous_path, validate_theta
-from icrt_lab.ptree import PSeq, breadth_tree, sample_positions, uniform_pseq
+from icrt_lab.ptree import (
+    PSeq,
+    approximating_pseq,
+    breadth_tree,
+    depth_tree,
+    sample_positions,
+    uniform_pseq,
+)
 from icrt_lab.reflect import sample_reflected
 from icrt_lab.rng import RngState
 from icrt_lab.stats import ks_two_sample
@@ -200,6 +208,154 @@ class TestSampleFunctionTree:
     def test_coincident_times_raise(self):
         with pytest.raises(DegenerateError):
             sample_function_tree(make_tent(), [0.3, 0.3])
+
+
+def spanning_subtree_oracle(tree, p, leaves, rng=None, vertices=None) -> EdgeTree:
+    """The earlier spanning construction, kept as a test-only oracle: the
+    union of the root paths, each kept vertex (marked, or with two children
+    in the union) hung below its nearest kept ancestor by the step count."""
+    if vertices is None:
+        if rng is None:
+            raise ValueError("rng required to sample vertices")
+        vertices = [int(v) for v in p.draw(rng, size=leaves)]
+    else:
+        vertices = [int(v) for v in vertices]
+        if len(vertices) != leaves:
+            raise ValueError("vertex count mismatch")
+    if len(set(vertices)) != len(vertices):
+        raise DuplicateSampleError("two sampled vertices coincide")
+    if tree.root in vertices:
+        raise DegenerateError("sampled the root")
+    parent = tree.parent
+
+    def root_distance(v):
+        steps = 0
+        while parent[v] != -1:
+            v = int(parent[v])
+            steps += 1
+        return steps
+
+    union = set(vertices) | {int(tree.root)}
+    for v in vertices:
+        w = v
+        while parent[w] != -1:
+            w = int(parent[w])
+            union.add(w)
+    child_sets: dict = {v: set() for v in union}
+    for v in union:
+        if parent[v] != -1:
+            child_sets[int(parent[v])].add(v)
+    marked = set(vertices) | {int(tree.root)}
+    keep = {v for v in union if v in marked or len(child_sets[v]) >= 2}
+    node_of = {int(tree.root): 0}
+    parent_out = [-1]
+    lengths_out = [0.0]
+
+    def ensure(v):
+        if v in node_of:
+            return node_of[v]
+        w = v
+        steps = 0
+        while True:
+            w = int(parent[w])
+            steps += 1
+            if w in keep:
+                break
+        par_node = ensure(w)
+        parent_out.append(par_node)
+        lengths_out.append(float(steps))
+        node_of[v] = len(parent_out) - 1
+        return node_of[v]
+
+    for v in sorted(keep, key=root_distance):
+        ensure(v)
+    leaf_nodes = {i + 1: node_of[v] for i, v in enumerate(vertices)}
+    return EdgeTree(np.array(parent_out), np.array(lengths_out), leaf_nodes)
+
+
+def length_code(et: EdgeTree) -> str:
+    """Canonical shape string with each edge's length bits and the leaf
+    labels; invariant under internal relabeling."""
+    kids = et.children_lists()
+    labels_at: dict = {}
+    for lab, node in et.leaf_nodes.items():
+        labels_at.setdefault(node, []).append(lab)
+
+    def code(v: int) -> str:
+        lab = ",".join(str(x) for x in sorted(labels_at.get(v, [])))
+        sub = "|".join(sorted(code(c) for c in kids[v]))
+        return f"({float(et.lengths[v]).hex()}L{lab}:{sub})"
+
+    return code(0)
+
+
+def reduce_both(tree, p, leaves, rng_pair=None, vertices=None):
+    """(outcome, outcome) of the spanning reduction and the oracle; an
+    outcome is the tree's length code and total-length bits, or the
+    exception type."""
+    out = []
+    for fn, rng in zip((spanning_subtree, spanning_subtree_oracle), rng_pair or (None, None)):
+        try:
+            et = fn(tree, p, leaves, rng, vertices)
+        except Exception as e:  # the exception type must match too
+            out.append(type(e))
+            continue
+        out.append((length_code(et), et.lengths.sum().hex(), sorted(et.leaf_nodes)))
+    return out
+
+
+def hand_tree(parent) -> SimpleNamespace:
+    # the spanning reduction reads only the parent array and the root
+    parent = np.array(parent)
+    return SimpleNamespace(parent=parent, root=int(np.flatnonzero(parent == -1)[0]))
+
+
+class TestSpanningOracle:
+    @pytest.mark.parametrize("parent, vertices", [
+        ([-1, 0, 1, 2], [3, 1, 2]),  # nested markers on one chain, drawn out of order
+        ([-1, 0, 1, 1], [2, 1, 3]),  # a leaf on both other leaves' root paths
+        ([-1, 0, 0, 2], [3, 1]),  # branching at the root
+        ([-1, 0, 0, 2], [1, 3]),
+        ([-1, 0, 1, 1, 1], [2, 3, 4]),  # three leaves below one unmarked vertex
+        ([2, 2, -1, 0, 3, 1], [4, 5, 0]),  # root is not vertex 0
+        ([-1, 0, 1, 2, 3, 2, 0], [4, 5, 6, 3]),  # deep pop and split back to depth 2
+    ])
+    def test_hand_cases(self, parent, vertices):
+        tree = hand_tree(parent)
+        new, old = reduce_both(tree, None, len(vertices), vertices=vertices)
+        assert new == old
+
+    def test_nested_chain_labels_inner_nodes(self):
+        et = spanning_subtree(hand_tree([-1, 0, 1, 2]), None, 3, vertices=[3, 1, 2])
+        assert list(et.leaf_depths()) == [3.0, 1.0, 2.0]
+        assert et.n_nodes == 4 and et.total_length() == 3.0
+
+    def test_branching_at_the_root(self):
+        et = spanning_subtree(hand_tree([-1, 0, 0, 2]), None, 2, vertices=[3, 1])
+        assert list(et.parent) == [-1, 0, 0] and sorted(et.lengths) == [0.0, 1.0, 2.0]
+
+    def test_exceptions_match(self):
+        tree = hand_tree([-1, 0, 1])
+        for verts in ([1, 1], [0, 2], [2]):
+            new, old = reduce_both(tree, None, 2, vertices=verts)
+            assert new == old and isinstance(new, type)
+
+    def test_random_reductions(self, reference_theta):
+        # breadth and depth trees, uniform and reference p, 1200 reductions
+        # with J = 2..6; the larger J at small n also exercise duplicates
+        count = 0
+        for n in (60, 600, 6000):
+            for p in (uniform_pseq(n), approximating_pseq(reference_theta, n)):
+                x = sample_positions(p.n, RngState(20, n))
+                for build in (breadth_tree, depth_tree):
+                    tree = build(p, x)
+                    for k in range(100):
+                        leaves = 2 + k % 5
+                        new, old = reduce_both(tree, p, leaves,
+                                               (RngState(21, k), RngState(21, k)))
+                        assert new == old, (n, build.__name__, k)
+                        count += 1
+        assert count == 1200
 
 
 class TestSpanningSubtree:

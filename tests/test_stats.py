@@ -14,7 +14,6 @@ from icrt_lab.stats import (
     TestReport as Report,  # aliased so pytest does not collect it
     chi_square_gof,
     excursion_time_change,
-    kolmogorov_sf,
     ks_two_sample,
     time_in_band,
 )
@@ -73,8 +72,18 @@ class TestKs:
         assert ps.mean() > 0.3
 
     def test_sf_bounds(self):
-        assert kolmogorov_sf(0.0) == 1.0
-        assert kolmogorov_sf(10.0) < 1e-12
+        a = np.arange(1000.0)
+        assert ks_two_sample(a, a).p_value == 1.0
+        assert ks_two_sample(a, a + 1000.0).p_value < 1e-12
+
+    @pytest.mark.parametrize("n", [20_000, 1_000_000])
+    def test_near_identical_samples_pass(self, n):
+        # D = 1/n, so the corrected statistic is about 1/sqrt(2n) (0.005 and
+        # 7e-4), where the Kolmogorov tail is 1 to many digits
+        a = np.arange(n) / n
+        rep = ks_two_sample(a, a + 1e-9)
+        assert rep.statistic == pytest.approx(1.0 / n)
+        assert rep.p_value > 1.0 - 1e-12 and rep.passed
 
 
 class TestChiSquare:
