@@ -16,6 +16,7 @@ from .paths import (
 )
 from .ptree import (
     PSeq,
+    Relocation,
     RootedTree,
     approximating_pseq,
     breadth_tree,
@@ -28,6 +29,7 @@ from .ptree import (
     particle_excursion,
     pending_mass_error,
     ptree_probability,
+    relocate,
     repeat_time_sample,
     uniform_pseq,
     width_error,

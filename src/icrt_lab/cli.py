@@ -100,7 +100,7 @@ def cmd_sample(args) -> int:
         elif kind == "ptree":
             p = _pseq_from_config(cfg)
             build = breadth_tree if cfg.construction == "breadth" else depth_tree
-            tree = build(p, sample_positions(p.n, rng))
+            tree = build(sample_positions(p, rng))
             header = json.dumps({"n": tree.n, "root": int(tree.root),
                                  "p": p.probs.tolist(), "kind": tree.kind})
             rows = "\n".join(f"{v},{int(tree.parent[v])}" for v in range(tree.n))
@@ -111,7 +111,7 @@ def cmd_sample(args) -> int:
             text = et.to_json() + "\n"
         elif kind == "width":
             p = _pseq_from_config(cfg)
-            tree = breadth_tree(p, sample_positions(p.n, rng))
+            tree = breadth_tree(sample_positions(p, rng))
             width, cumulative = width_profile(tree, p)
             rows = "\n".join(
                 f"{g * p.sigma:.17g},{width[g]:.17g},{cumulative[g]:.17g}"

@@ -283,27 +283,23 @@ def sample_function_tree(h: CadlagPath, sample_times,
 # Spanning reduction of a discrete tree
 # ---------------------------------------------------------------------------
 
-def spanning_subtree(tree: RootedTree, p: PSeq, leaves: int,
-                     rng: RngState | None = None, vertices=None) -> EdgeTree:
-    """Reduced spanning tree on the root and `leaves` drawn vertices.
+def spanning_subtree(tree: RootedTree, p: PSeq, leaves: int, rng: RngState) -> EdgeTree:
+    """Reduced spanning tree on the root and `leaves` vertices drawn from p.
 
-    Vertices are drawn from p (or passed explicitly); unit-length edges are
-    contracted through unmarked degree-2 vertices, leaving integer edge
-    lengths.  Raises DuplicateSampleError on a repeated draw and
-    DegenerateError when the root itself is drawn.
+    Unit-length edges are contracted through unmarked degree-2 vertices,
+    leaving integer edge lengths.  Raises DuplicateSampleError on a
+    repeated draw and DegenerateError when the root itself is drawn.
+    """
+    return _spanning_reduction(tree, [int(v) for v in p.draw(rng, size=leaves)])
+
+
+def _spanning_reduction(tree: RootedTree, vertices) -> EdgeTree:
+    """Reduced spanning tree on the root and the given vertices.
 
     Root-first ancestor chains in lexicographic order list the vertices
     depth-first, ancestors first; a vertex's depth is its chain length - 1
     and two vertices branch at their common prefix length - 1.
     """
-    if vertices is None:
-        if rng is None:
-            raise ValueError("rng required to sample vertices")
-        vertices = [int(v) for v in p.draw(rng, size=leaves)]
-    else:
-        vertices = [int(v) for v in vertices]
-        if len(vertices) != leaves:
-            raise ValueError("vertex count mismatch")
     if len(set(vertices)) != len(vertices):
         raise DuplicateSampleError("two sampled vertices coincide")
     if tree.root in vertices:

@@ -3,10 +3,11 @@
 A ranked probability vector places n particles at uniform positions on the
 unit circle; the walk with drift -1 and a jump of p_i at particle i encodes
 a random rooted tree on [n] with probability prod_v p_v^(children of v).
-Both a breadth-first and a depth-first reading of the same walk are
-implemented, together with the exact structural identities tying the tree
-to the walk: pending-mass, generation-weight, width, and exploration-height
-relations.
+Each realisation is relocated once, at the minimizing particle, into a
+`Relocation`; the walk's excursion and both the breadth-first and the
+depth-first readings are views of it.  The exact structural identities
+tying the tree to the walk are implemented too: pending-mass,
+generation-weight, width, and exploration-height relations.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class RootedTree:
     """Rooted tree on [n] with the construction's visit bookkeeping.
 
     parent[root] = -1; `order` is the visit order (breadth: position order,
-    depth: examination order); `positions` are the relocated particle
-    positions and `pos_order` their sort order, so the root comes first.
+    depth: examination order); `positions` and `pos_order` are those of
+    the Relocation read, so the root comes first in position order.
     Both readings give each vertex a run of the position order as its
     children: children(v) = pos_order[kid_start[v]:kid_end[v]], in circle
     order.  `e_times` are the per-vertex examination end times (depth only);
@@ -157,23 +158,36 @@ class RootedTree:
         return tuple(int(v) for v in self.parent)
 
 
-def sample_positions(n: int, rng: RngState) -> np.ndarray:
-    """n distinct uniform positions in (0, 1)."""
-    for _ in range(100):
-        x = rng.gen.random(n)
-        if np.unique(x).size == n and x.min() > 0.0:
-            return x
-    raise DuplicatePositionError("could not sample distinct positions")
+@dataclass(frozen=True, eq=False)
+class Relocation:
+    """One realisation of the particles, relocated to start at the
+    minimizing particle: the excursion and both tree readings read it.
+
+    `root` is the minimizer, `positions` the relocated positions (the
+    root's is 0) and `pos_order` their sort order, so the root comes first;
+    `xs_sorted` and `w_sorted` are the positions and weights in that order.
+    It holds no walk values.
+    """
+
+    root: int
+    positions: np.ndarray
+    pos_order: np.ndarray
+    xs_sorted: np.ndarray
+    w_sorted: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return int(self.positions.size)
 
 
-def _relocate(p: PSeq, x) -> tuple[int, np.ndarray, np.ndarray]:
-    """Minimizing particle, positions relocated to start there, and the
-    relocated positions' sort order.
+def relocate(p: PSeq, x) -> Relocation:
+    """Relocation of the positions x at the minimizing particle.
 
     The walk attains its infimum as a left limit at a unique particle;
-    ties within 1e-12 raise TieError.  Relocation is a rotation of the
-    circle, so the sort order of the relocated positions is the sort order
-    of x rotated to start at the minimizer.
+    ties within 1e-12 raise TieError, and coinciding positions, before or
+    after relocation, DuplicatePositionError.  Relocation is a rotation of
+    the circle, so the sort order of the relocated positions is the sort
+    order of x rotated to start at the minimizer.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != p.n:
@@ -190,7 +204,10 @@ def _relocate(p: PSeq, x) -> tuple[int, np.ndarray, np.ndarray]:
         if lows[1] - lows[0] <= TIE_TOL:
             raise TieError("two left limits tie for the minimum")
     v1 = int(order[k])
-    shifted = np.mod(x - x[v1], 1.0)
+    # 1.0 added where negative, the same bits as np.mod(x - x[v1], 1.0) for
+    # x in (0, 1); adding 0.0 elsewhere keeps every bit, as no -0.0 arises
+    shifted = x - x[v1]
+    shifted += shifted < 0.0
     shifted[v1] = 0.0
     pos_order = np.concatenate([order[k:], order[:k]])
     # The rotated order is sorted up to ties: the subtraction and the
@@ -199,33 +216,41 @@ def _relocate(p: PSeq, x) -> tuple[int, np.ndarray, np.ndarray]:
     xs_sorted = shifted[pos_order]
     if (xs_sorted[1:] == xs_sorted[:-1]).any():
         raise DuplicatePositionError("positions collide after relocation")
-    return v1, shifted, pos_order
+    return Relocation(v1, shifted, pos_order, xs_sorted, p.probs[pos_order])
 
 
-def particle_excursion(p: PSeq, x) -> tuple[CadlagPath, int, np.ndarray]:
+def sample_positions(p: PSeq, rng: RngState) -> Relocation:
+    """Relocation of p.n uniform positions in (0, 1); a draw with a zero
+    or with coinciding positions, before or after relocation, is redrawn."""
+    for _ in range(100):
+        x = rng.gen.random(p.n)
+        if x.min() > 0.0:
+            try:
+                return relocate(p, x)
+            except DuplicatePositionError:
+                pass
+    raise DuplicatePositionError("could not sample distinct positions")
+
+
+def particle_excursion(rel: Relocation) -> CadlagPath:
     """Excursion read of the walk, relocated at the minimizing particle.
 
-    Returns (path, minimizer, relocated positions).  The path is
-    nonnegative, jumps by p_i at each relocated position (the minimizer's
-    jump sits at time 0), and ends at exactly 0.
+    The path is nonnegative, jumps by p_i at each relocated position (the
+    minimizer's jump sits at time 0), and ends at exactly 0.
     """
-    v1, xs, order = _relocate(p, x)
-    xs_sorted = xs[order]
-    ps = p.probs[order]
-    inner_left = np.concatenate([[0.0], np.cumsum(ps)[:-1]]) - xs_sorted
+    ps = rel.w_sorted
+    inner_left = np.concatenate([[0.0], np.cumsum(ps)[:-1]]) - rel.xs_sorted
     inner_right = inner_left + ps
-    t = np.concatenate([xs_sorted, [1.0]])
+    t = np.concatenate([rel.xs_sorted, [1.0]])
     left = np.concatenate([inner_left, [0.0]])
     right = np.concatenate([inner_right, [0.0]])
-    return CadlagPath(t, left, right), v1, xs
+    return CadlagPath(t, left, right)
 
 
-def ptree_probability(tree_or_parent, p: PSeq) -> float:
-    """prod_v p_v^(children count of v) for a rooted tree on [n]."""
-    if isinstance(tree_or_parent, RootedTree):
-        parent = tree_or_parent.parent
-    else:
-        parent = np.asarray(tree_or_parent)
+def ptree_probability(parent, p: PSeq) -> float:
+    """prod_v p_v^(children count of v) for the parent array of a rooted
+    tree on [n]."""
+    parent = np.asarray(parent)
     counts = np.bincount(parent[parent >= 0], minlength=p.n)
     return float(np.prod(p.probs ** counts))
 
@@ -256,7 +281,7 @@ def enumerate_parent_arrays(n: int):
                 yield tuple(parent)
 
 
-def _claim_tree(p: PSeq, x, kind: str) -> RootedTree:
+def _claim_tree(rel: Relocation, kind: str) -> RootedTree:
     """Tree in which the i-th visited vertex claims, as its children, the
     particles not yet claimed whose relocated positions are at most the
     cumulative weight of the first i + 1 visited vertices.
@@ -265,10 +290,8 @@ def _claim_tree(p: PSeq, x, kind: str) -> RootedTree:
     searchsorted over the sorted positions gives every vertex's child
     bounds and the parent array; they differ only in the visit order.
     """
-    v1, xs, pos_order = _relocate(p, x)
-    n = p.n
-    xs_sorted = xs[pos_order]
-    w_sorted = p.probs[pos_order]
+    n = rel.n
+    pos_order, xs_sorted, w_sorted = rel.pos_order, rel.xs_sorted, rel.w_sorted
     if kind == "breadth":
         order, ends = pos_order, np.cumsum(w_sorted)
     else:
@@ -295,17 +318,17 @@ def _claim_tree(p: PSeq, x, kind: str) -> RootedTree:
         ends = np.minimum(ends, 1.0)
         e_times = np.empty(n)
         e_times[order] = ends
-    return RootedTree(n=n, root=v1, parent=parent, order=order, positions=xs,
-                      visit_cum=np.concatenate([[0.0], ends]), kind=kind,
-                      pos_order=pos_order, kid_start=kid_start, kid_end=kid_end,
-                      e_times=e_times)
+    return RootedTree(n=n, root=rel.root, parent=parent, order=order,
+                      positions=rel.positions, visit_cum=np.concatenate([[0.0], ends]),
+                      kind=kind, pos_order=pos_order, kid_start=kid_start,
+                      kid_end=kid_end, e_times=e_times)
 
 
-def breadth_tree(p: PSeq, x) -> RootedTree:
+def breadth_tree(rel: Relocation) -> RootedTree:
     """Tree read in position order: particle j's children are the particles
     whose relocated positions fall in its cumulative-weight interval, the
     next run of the position order, as in the depth reading."""
-    return _claim_tree(p, x, "breadth")
+    return _claim_tree(rel, "breadth")
 
 
 def _examination_ranks(xs_sorted: np.ndarray, w_sorted: np.ndarray) -> np.ndarray:
@@ -340,19 +363,19 @@ def _examination_ranks(xs_sorted: np.ndarray, w_sorted: np.ndarray) -> np.ndarra
     return np.array(ranks)
 
 
-def depth_tree(p: PSeq, x) -> RootedTree:
+def depth_tree(rel: Relocation) -> RootedTree:
     """Tree read in examination order: each examined vertex's interval of
     length p_v recruits its children; examination proceeds to the first
     unexamined child, backtracking when none remain.
 
-    Reads only the weights and the positions, never the walk, so the
-    identities checked against the walk are two-sided.  The examination
+    Reads only the relocation's weights and positions, never the walk, so
+    the identities checked against the walk are two-sided.  The examination
     cursor only moves right, so the children of each examined vertex are
     the next run of particles in position order: after the sort, one
     forward pass over the positions gives the examination order, and the
     tree follows as for the breadth reading.
     """
-    return _claim_tree(p, x, "depth")
+    return _claim_tree(rel, "depth")
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +530,9 @@ def corrected_excursion(tree: RootedTree, exc: CadlagPath, p: PSeq) -> CadlagPat
     keep = np.flatnonzero(ev_t < 1.0)  # a slope restore at the domain end has no effect
     order = keep[np.argsort(ev_t[keep], kind="stable")]
     ev_t, ev_jump, ev_slope = ev_t[order], ev_jump[order], ev_slope[order]
-    t_u, start = np.unique(ev_t, return_index=True)
+    # ev_t is sorted: each distinct time starts where it differs from the last
+    start = np.flatnonzero(np.concatenate([[True], ev_t[1:] != ev_t[:-1]]))
+    t_u = ev_t[start]
     # pad with 0 and 1; a heavy root's jump already sits at 0
     cut = int(t_u[0] == 0.0)
     times = np.concatenate([[0.0], t_u, [1.0]])[cut:]
@@ -604,9 +629,9 @@ def exploration_gap(p: PSeq, rng: RngState) -> float:
     """
     if p.n == 1:
         return 0.0
-    x = sample_positions(p.n, rng)
-    exc, _, _ = particle_excursion(p, x)
-    tree = depth_tree(p, x)
+    rel = sample_positions(p, rng)
+    exc = particle_excursion(rel)
+    tree = depth_tree(rel)
     g = corrected_excursion(tree, exc, p)
     h = exploration_height(tree)
     sigma = p.sigma

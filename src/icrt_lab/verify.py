@@ -123,14 +123,14 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0):
         hypothesis_skips = 0
         for r in range(reps):
             p = p_uniform if r % 2 == 0 else p_heavy
-            x = sample_positions(p.n, _stream(rng, "identities", r))
-            exc, _, _ = particle_excursion(p, x)
-            bt = breadth_tree(p, x)
+            rel = sample_positions(p, _stream(rng, "identities", r))
+            exc = particle_excursion(rel)
+            bt = breadth_tree(rel)
             bt.validate()
             errs["generation"].append(generation_error(bt, exc, p))
             errs["width"].append(width_error(bt, exc, p))
             errs["claim"].append(max(claim_margin(bt), 0.0))
-            dt = depth_tree(p, x)
+            dt = depth_tree(rel)
             dt.validate()
             errs["pending"].append(pending_mass_error(dt, exc, p))
             errs["claim"].append(max(claim_margin(dt), 0.0))
@@ -168,7 +168,7 @@ def _tree_law_report(p: PSeq, kind: str, samples: int, rng: RngState) -> TestRep
     build = breadth_tree if kind == "breadth" else depth_tree
     stream = _stream(rng, suite)
     for _ in range(samples):
-        tr = build(p, sample_positions(p.n, stream))
+        tr = build(sample_positions(p, stream))
         counts[index[tr.parent_key()]] += 1
     return chi_square_gof(counts, probs, suite=suite)
 
@@ -256,8 +256,7 @@ def _spanning_summaries(p: PSeq, leaves: int, replicates: int, rng: RngState):
         while True:
             stream = _stream(rng, "theorem2/spanning", k, rejection)
             try:
-                x = sample_positions(p.n, stream)
-                tr = breadth_tree(p, x)
+                tr = breadth_tree(sample_positions(p, stream))
                 et = spanning_subtree(tr, p, leaves, stream)
                 break
             except (DuplicateSampleError, DegenerateError, TieError):
@@ -296,7 +295,7 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
         widths = np.empty(marginal_reps)
         for k in range(marginal_reps):
             stream = _stream(rng, "theorem2/width-marginal/tree", k)
-            tr = breadth_tree(pm, sample_positions(pm.n, stream))
+            tr = breadth_tree(sample_positions(pm, stream))
             widths[k] = width_at_quantile(*width_profile(tr, pm), u_star) / pm.sigma
         marginals = np.empty(marginal_reps)
         eps = MONITORING_BETA / np.sqrt(marginal_grid)  # grid-minimum re-base offset
@@ -449,7 +448,7 @@ def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
         side_b = np.empty(replicates, dtype=np.int64)
         for k in range(replicates):
             stream = _stream(rng, "repeat-time/height", k)
-            tr = breadth_tree(p, sample_positions(n, stream))
+            tr = breadth_tree(sample_positions(p, stream))
             v = int(p.draw(stream))
             side_b[k] = tr.heights[v]
         return ks_two_sample(side_a, side_b, suite="repeat-time")

@@ -7,6 +7,7 @@ import pytest
 from icrt_lab.errors import DegenerateError, DuplicateSampleError
 from icrt_lab.icrt import (
     EdgeTree,
+    _spanning_reduction,
     line_breaking_tree,
     sample_function_tree,
     spanning_subtree,
@@ -17,6 +18,7 @@ from icrt_lab.ptree import (
     approximating_pseq,
     breadth_tree,
     depth_tree,
+    relocate,
     sample_positions,
     uniform_pseq,
 )
@@ -210,18 +212,10 @@ class TestSampleFunctionTree:
             sample_function_tree(make_tent(), [0.3, 0.3])
 
 
-def spanning_subtree_oracle(tree, p, leaves, rng=None, vertices=None) -> EdgeTree:
+def spanning_subtree_oracle(tree, vertices) -> EdgeTree:
     """The earlier spanning construction, kept as a test-only oracle: the
     union of the root paths, each kept vertex (marked, or with two children
     in the union) hung below its nearest kept ancestor by the step count."""
-    if vertices is None:
-        if rng is None:
-            raise ValueError("rng required to sample vertices")
-        vertices = [int(v) for v in p.draw(rng, size=leaves)]
-    else:
-        vertices = [int(v) for v in vertices]
-        if len(vertices) != leaves:
-            raise ValueError("vertex count mismatch")
     if len(set(vertices)) != len(vertices):
         raise DuplicateSampleError("two sampled vertices coincide")
     if tree.root in vertices:
@@ -289,14 +283,14 @@ def length_code(et: EdgeTree) -> str:
     return code(0)
 
 
-def reduce_both(tree, p, leaves, rng_pair=None, vertices=None):
+def reduce_both(tree, vertices):
     """(outcome, outcome) of the spanning reduction and the oracle; an
     outcome is the tree's length code and total-length bits, or the
     exception type."""
     out = []
-    for fn, rng in zip((spanning_subtree, spanning_subtree_oracle), rng_pair or (None, None)):
+    for fn in (_spanning_reduction, spanning_subtree_oracle):
         try:
-            et = fn(tree, p, leaves, rng, vertices)
+            et = fn(tree, vertices)
         except Exception as e:  # the exception type must match too
             out.append(type(e))
             continue
@@ -322,22 +316,22 @@ class TestSpanningOracle:
     ])
     def test_hand_cases(self, parent, vertices):
         tree = hand_tree(parent)
-        new, old = reduce_both(tree, None, len(vertices), vertices=vertices)
+        new, old = reduce_both(tree, vertices)
         assert new == old
 
     def test_nested_chain_labels_inner_nodes(self):
-        et = spanning_subtree(hand_tree([-1, 0, 1, 2]), None, 3, vertices=[3, 1, 2])
+        et = _spanning_reduction(hand_tree([-1, 0, 1, 2]), [3, 1, 2])
         assert list(et.leaf_depths()) == [3.0, 1.0, 2.0]
         assert et.n_nodes == 4 and et.total_length() == 3.0
 
     def test_branching_at_the_root(self):
-        et = spanning_subtree(hand_tree([-1, 0, 0, 2]), None, 2, vertices=[3, 1])
+        et = _spanning_reduction(hand_tree([-1, 0, 0, 2]), [3, 1])
         assert list(et.parent) == [-1, 0, 0] and sorted(et.lengths) == [0.0, 1.0, 2.0]
 
     def test_exceptions_match(self):
         tree = hand_tree([-1, 0, 1])
-        for verts in ([1, 1], [0, 2], [2]):
-            new, old = reduce_both(tree, None, 2, vertices=verts)
+        for verts in ([1, 1], [0, 2]):
+            new, old = reduce_both(tree, verts)
             assert new == old and isinstance(new, type)
 
     def test_random_reductions(self, reference_theta):
@@ -346,13 +340,12 @@ class TestSpanningOracle:
         count = 0
         for n in (60, 600, 6000):
             for p in (uniform_pseq(n), approximating_pseq(reference_theta, n)):
-                x = sample_positions(p.n, RngState(20, n))
+                rel = sample_positions(p, RngState(20, n))
                 for build in (breadth_tree, depth_tree):
-                    tree = build(p, x)
+                    tree = build(rel)
                     for k in range(100):
-                        leaves = 2 + k % 5
-                        new, old = reduce_both(tree, p, leaves,
-                                               (RngState(21, k), RngState(21, k)))
+                        vertices = [int(v) for v in p.draw(RngState(21, k), size=2 + k % 5)]
+                        new, old = reduce_both(tree, vertices)
                         assert new == old, (n, build.__name__, k)
                         count += 1
         assert count == 1200
@@ -361,15 +354,15 @@ class TestSpanningOracle:
 class TestSpanningSubtree:
     def setup_method(self):
         self.p = PSeq(np.array([0.5, 0.3, 0.2]))
-        self.tree = breadth_tree(self.p, [0.05, 0.5, 0.7])  # chain 0 -> 1 -> 2
+        self.tree = breadth_tree(relocate(self.p, [0.05, 0.5, 0.7]))  # chain 0 -> 1 -> 2
 
     def test_single_vertex_path(self):
-        et = spanning_subtree(self.tree, self.p, 1, vertices=[2])
+        et = _spanning_reduction(self.tree, [2])
         assert et.n_nodes == 2
         assert et.leaf_depths()[0] == 2.0  # height of vertex 2
 
     def test_nested_markers(self):
-        et = spanning_subtree(self.tree, self.p, 2, vertices=[1, 2])
+        et = _spanning_reduction(self.tree, [1, 2])
         # vertex 1 is on the path to vertex 2: kept as a labeled inner node
         d = et.leaf_depths()
         assert list(d) == [1.0, 2.0]
@@ -377,17 +370,17 @@ class TestSpanningSubtree:
 
     def test_duplicate_raises(self):
         with pytest.raises(DuplicateSampleError):
-            spanning_subtree(self.tree, self.p, 2, vertices=[2, 2])
+            _spanning_reduction(self.tree, [2, 2])
 
     def test_root_draw_raises(self):
         with pytest.raises(DegenerateError):
-            spanning_subtree(self.tree, self.p, 1, vertices=[0])
+            _spanning_reduction(self.tree, [0])
 
     def test_duplicate_rate_shrinks(self):
         rates = []
         for n in (1000, 10_000):
             p = uniform_pseq(n)
-            tree = breadth_tree(p, sample_positions(n, RngState(16)))
+            tree = breadth_tree(sample_positions(p, RngState(16)))
             dup = 0
             draws = 2000
             for k in range(draws):
@@ -403,7 +396,7 @@ class TestSpanningSubtree:
         # total length equals the number of spanning-tree edges
         n = 200
         p = uniform_pseq(n)
-        tree = breadth_tree(p, sample_positions(n, RngState(18)))
+        tree = breadth_tree(sample_positions(p, RngState(18)))
         et = spanning_subtree(tree, p, 3, RngState(19))
         # recompute by brute force: union of root paths
         # (vertices drawn again with the same stream)

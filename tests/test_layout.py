@@ -9,7 +9,11 @@ Every path difference goes through one window-only routine,
 `truncated_coupling` and `corrected_excursion`; no module defines or calls
 a whole-grid `combine`.  Every reduced tree is built by one private
 builder, `icrt._reduced_tree`, called by exactly `sample_function_tree` and
-`spanning_subtree`; no module defines a `_root_distance` walk of its own.
+`_spanning_reduction`; no module defines a `_root_distance` walk of its own.
+Every realisation of the particles is relocated once: `ptree.relocate` is
+called only by `sample_positions`, the excursion and both tree readings
+each take the one `Relocation`, and `ptree` calls neither `np.mod` nor
+`np.unique`.
 Every public module-level function and class, and
 every public method and property of a package class, has a caller in the
 package or the benchmark, not only in the tests.
@@ -124,10 +128,26 @@ def test_reduced_trees_built_in_one_place():
     trees = {path.stem: _tree(path) for path in MODULES}
     owners = {(mod, owner) for mod, tree in trees.items()
               for owner, _, _ in _calls(tree, ("_reduced_tree",))}
-    assert owners == {("icrt", "sample_function_tree"), ("icrt", "spanning_subtree")}
+    assert owners == {("icrt", "sample_function_tree"), ("icrt", "_spanning_reduction")}
     defined = [f"{mod}.{node.name}" for mod, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "_root_distance"]
     assert defined == []
+
+
+def test_one_relocation_per_realisation():
+    # the excursion and both readings are views of one relocated walk, so
+    # nothing but the sampler relocates, and no second duplicate check or
+    # circle mod hides in ptree
+    trees = {path.stem: _tree(path) for path in MODULES}
+    owners = {(mod, owner) for mod, tree in trees.items()
+              for owner, _, _ in _calls(tree, ("relocate",))}
+    assert owners == {("ptree", "sample_positions")}
+    arity = {node.name: len(node.args.posonlyargs + node.args.args + node.args.kwonlyargs)
+             + (node.args.vararg is not None) + (node.args.kwarg is not None)
+             for node in trees["ptree"].body if isinstance(node, ast.FunctionDef)
+             and node.name in ("particle_excursion", "breadth_tree", "depth_tree")}
+    assert arity == {"particle_excursion": 1, "breadth_tree": 1, "depth_tree": 1}
+    assert [owner for owner, _, _ in _calls(trees["ptree"], ("mod", "unique"))] == []
 
 
 # Public names (`name` or `Class.method`) allowed to have no caller outside

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from icrt_lab import ptree
 from icrt_lab.errors import DuplicatePositionError, SignError, TieError
 from icrt_lab.paths import CadlagPath, sup_distance
 from icrt_lab.ptree import (
@@ -21,6 +22,7 @@ from icrt_lab.ptree import (
     particle_excursion,
     pending_mass_error,
     ptree_probability,
+    relocate,
     repeat_time_sample,
     sample_positions,
     uniform_pseq,
@@ -30,27 +32,29 @@ from icrt_lab.ptree import (
 )
 from icrt_lab.rng import RngState
 from icrt_lab.stats import chi_square_gof, ks_two_sample
-from icrt_lab.verify import IDENTITY_TOL, REFERENCE_THETA
+from icrt_lab.verify import IDENTITY_TOL, REFERENCE_THETA, suite_identities
 
 from conftest import assert_same_bits, union_grid_combination
 
 
 class FixedUniforms:
-    """Stand-in for RngState whose generator returns the given uniforms."""
+    """Stand-in for RngState whose generator returns the given draws of
+    uniforms, one draw per call."""
 
-    def __init__(self, u):
+    def __init__(self, *draws):
         self.gen = self
-        self.u = np.asarray(u, dtype=float)
+        self.draws = [np.asarray(u, dtype=float) for u in draws]
 
     def random(self, size=None):
-        return self.u[:size] if size is not None else float(self.u[0])
+        u = self.draws.pop(0)
+        return u[:size] if size is not None else float(u[0])
 
 
-def reference_breadth_tree(p, x):
+def reference_breadth_tree(p, rel):
     """Breadth-first tree from one searchsorted over the cumulative weights
     in position order, the children grouped by a stable sort of their
     parents' visit ranks.  Test-only oracle for ptree.breadth_tree."""
-    _, v1, xs = particle_excursion(p, x)
+    v1, xs = rel.root, rel.positions
     n = p.n
     order = np.argsort(xs)
     y = np.concatenate([[0.0], np.cumsum(p.probs[order])])
@@ -67,11 +71,11 @@ def reference_breadth_tree(p, x):
     return v1, parent, order, None, y, children
 
 
-def reference_depth_tree(p, x):
+def reference_depth_tree(p, rel):
     """Per-vertex construction of the depth-first tree: two searchsorted
     calls per examined vertex over the separately sorted relocated
     positions.  Test-only oracle for ptree.depth_tree."""
-    _, v1, xs = particle_excursion(p, x)
+    v1, xs = rel.root, rel.positions
     n = p.n
     pos_order = np.argsort(xs)
     xs_sorted = xs[pos_order]
@@ -175,32 +179,34 @@ class TestParticleBridge:
         # level -0.25); relocated there, it reads walk(0.25 + s) + 0.25
         # and closes at 0
         p = PSeq(np.array([0.6, 0.4]))
-        exc, v1, _ = particle_excursion(p, [0.5, 0.25])
-        assert v1 == 1
+        rel = relocate(p, [0.5, 0.25])
+        exc = particle_excursion(rel)
+        assert rel.root == 1
         assert abs(exc.left_limit(1.0)) <= 1e-12
         assert exc.value(0.05) == pytest.approx(particle_walk(p, [0.5, 0.25], 0.3) + 0.25)
         assert exc.value(0.05) == pytest.approx(0.35)
 
     def test_duplicate_positions(self):
         with pytest.raises(DuplicatePositionError):
-            particle_excursion(PSeq(np.array([0.6, 0.4])), [0.3, 0.3])
+            relocate(PSeq(np.array([0.6, 0.4])), [0.3, 0.3])
 
     def test_tie_error(self):
         # left limits at both particles equal -0.1
         with pytest.raises(TieError):
-            particle_excursion(PSeq(np.array([0.6, 0.4])), [0.5, 0.1])
+            relocate(PSeq(np.array([0.6, 0.4])), [0.5, 0.1])
 
 
 class TestParticleExcursion:
     def test_nonnegative_and_closed(self):
         p = PSeq(np.array([0.5, 0.3, 0.2]))
-        exc, v1, xs = particle_excursion(p, [0.05, 0.5, 0.7])
+        rel = relocate(p, [0.05, 0.5, 0.7])
+        exc = particle_excursion(rel)
         assert exc.min_value() >= 0.0
         assert exc.value(1.0) == 0.0
-        assert v1 == 0 and xs[0] == 0.0
+        assert rel.root == 0 and rel.positions[0] == 0.0
 
     def test_single_particle_shape(self):
-        exc, _, _ = particle_excursion(uniform_pseq(1), [0.37])
+        exc = particle_excursion(relocate(uniform_pseq(1), [0.37]))
         assert exc.value(0.0) == 1.0
         for u in [0.2, 0.5, 0.9]:
             assert exc.value(u) == pytest.approx(1.0 - u)
@@ -208,9 +214,74 @@ class TestParticleExcursion:
 
     def test_jump_multiset(self):
         p = PSeq(np.array([0.5, 0.3, 0.2]))
-        exc, _, _ = particle_excursion(p, [0.55, 0.3, 0.9])
+        exc = particle_excursion(relocate(p, [0.55, 0.3, 0.9]))
         _, sizes = exc.jumps()
         assert sorted(sizes, reverse=True) == [0.5, 0.3, 0.2]
+
+
+def assert_same_relocation(got, want):
+    assert got.root == want.root
+    for name in ("positions", "pos_order", "xs_sorted", "w_sorted"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def count_relocations(monkeypatch) -> list:
+    """Wrap ptree.relocate in a counter; returns the one-element count."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return relocate(*args)
+
+    monkeypatch.setattr(ptree, "relocate", counted)
+    return calls
+
+
+class TestRelocation:
+    # one relocation per realisation: the excursion and both readings read it
+    def test_positions_are_the_circle_mod_bitwise(self):
+        p3 = PSeq(np.array([0.5, 0.3, 0.2]))
+        # the minimizer sits just below 1, so every other position wraps
+        hand = [[1 - 2 ** -53, 0.1, 0.3], [1 - 2 ** -53, 2 ** -60, 0.3],
+                [1 - 1e-12, 0.2, 0.35]]
+        cases = [(p3, np.array(x)) for x in hand]
+        vectors = [uniform_pseq(n) for n in (3, 50, 1000, 100_000)]
+        vectors += [approximating_pseq(REFERENCE_THETA, n) for n in (50, 1000, 100_000)]
+        for i, p in enumerate(vectors):
+            cases += [(p, RngState(34, 3 * i + k).gen.random(p.n)) for k in range(3)]
+        for p, x in cases:
+            rel = relocate(p, x)
+            want = np.mod(x - x[rel.root], 1.0)
+            want[rel.root] = 0.0
+            assert rel.positions.tobytes() == want.tobytes()
+            assert rel.n == p.n
+        assert [relocate(p3, x).root for _, x in cases[:3]] == [0, 0, 0]
+
+    def test_collision_after_relocation_raises(self):
+        # distinct positions whose differences from the minimizer's round
+        # to one value: -0.625 + 2^-55 rounds to -0.625
+        with pytest.raises(DuplicatePositionError, match="after relocation"):
+            relocate(PSeq(np.array([0.5, 0.3, 0.2])), [0.75, 0.125, 0.125 + 2 ** -55])
+
+    @pytest.mark.parametrize("first", [[0.0, 0.5, 0.7], [0.3, 0.7, 0.3],
+                                       [0.75, 0.125, 0.125 + 2 ** -55]],
+                             ids=["zero", "repeat", "collide"])
+    def test_sample_positions_redraws(self, first):
+        p = PSeq(np.array([0.5, 0.3, 0.2]))
+        second = [0.05, 0.5, 0.7]
+        rel = sample_positions(p, FixedUniforms(first, second))
+        assert_same_relocation(rel, relocate(p, second))
+
+    def test_gap_relocates_once(self, monkeypatch):
+        calls = count_relocations(monkeypatch)
+        exploration_gap(approximating_pseq(REFERENCE_THETA, 50), RngState(35))
+        assert calls == [1]
+
+    def test_identities_relocate_once_per_replicate(self, monkeypatch):
+        calls = count_relocations(monkeypatch)
+        _, passed = suite_identities(n=50, reps=4, seed=1)
+        assert passed and calls == [4]
 
 
 # Hand-worked realization: p = (0.5, 0.3, 0.2), x = (0.05, 0.5, 0.7).
@@ -219,30 +290,31 @@ class TestParticleExcursion:
 class TestHandThree:
     p = PSeq(np.array([0.5, 0.3, 0.2]))
     x = [0.05, 0.5, 0.7]
+    rel = relocate(p, x)
 
     def test_breadth(self):
-        t = breadth_tree(self.p, self.x)
+        t = breadth_tree(self.rel)
         assert t.root == 0
         assert list(t.parent) == [-1, 0, 1]
         assert list(t.order) == [0, 1, 2]
         t.validate()
 
     def test_depth(self):
-        t = depth_tree(self.p, self.x)
+        t = depth_tree(self.rel)
         assert list(t.parent) == [-1, 0, 1]
         assert list(t.order) == [0, 1, 2]
         assert list(t.e_times) == pytest.approx([0.5, 0.8, 1.0])
 
     def test_pending_identity(self):
-        t = depth_tree(self.p, self.x)
-        exc, _, _ = particle_excursion(self.p, self.x)
+        t = depth_tree(self.rel)
+        exc = particle_excursion(self.rel)
         assert pending_mass_error(t, exc, self.p) <= 1e-12
 
     def test_generation_pairs(self):
         # (time, walk value) at the end of each generation: (0.5, 0.3),
         # (0.8, 0.2), (1.0, 0.0)
-        t = breadth_tree(self.p, self.x)
-        exc, _, _ = particle_excursion(self.p, self.x)
+        t = breadth_tree(self.rel)
+        exc = particle_excursion(self.rel)
         assert generation_error(t, exc, self.p) <= 1e-12
         w, wbar = width_profile(t, self.p)
         assert list(wbar[1:]) == pytest.approx([0.5, 0.8, 1.0])
@@ -257,54 +329,56 @@ class TestHandThree:
 class TestHandFourHeavy:
     p = PSeq(np.array([0.4, 0.3, 0.2, 0.1]), n_heavy=1)
     x = [0.05, 0.55, 0.2, 0.35]
+    rel = relocate(p, x)
 
     def test_depth_structure(self):
-        t = depth_tree(self.p, self.x)
+        t = depth_tree(self.rel)
         assert list(t.order) == [0, 2, 1, 3]
         assert list(t.parent) == [-1, 2, 0, 0]
         assert list(t.e_times) == pytest.approx([0.4, 0.9, 0.6, 1.0])
         assert list(t.heights) == [0, 2, 1, 1]
 
     def test_corrected_values(self):
-        t = depth_tree(self.p, self.x)
-        exc, _, _ = particle_excursion(self.p, self.x)
+        t = depth_tree(self.rel)
+        exc = particle_excursion(self.rel)
         g = corrected_excursion(t, exc, self.p)
         vals = [g.value(e) for e in t.e_times]
         assert vals == pytest.approx([0.0, 0.0, 0.3, 0.0], abs=1e-12)
 
     def test_two_route_agreement(self):
-        t = depth_tree(self.p, self.x)
-        exc, _, _ = particle_excursion(self.p, self.x)
+        t = depth_tree(self.rel)
+        exc = particle_excursion(self.rel)
         assert corrected_pending_error(t, exc, self.p) <= 1e-12
 
     def test_no_heavy_gives_excursion(self):
         p0 = PSeq(np.array([0.4, 0.3, 0.2, 0.1]), n_heavy=0)
-        t = depth_tree(p0, self.x)
-        exc, _, _ = particle_excursion(p0, self.x)
+        rel0 = relocate(p0, self.x)
+        t = depth_tree(rel0)
+        exc = particle_excursion(rel0)
         assert sup_distance(corrected_excursion(t, exc, p0), exc) == 0.0
 
     def test_exploration_height_left_limits(self):
-        t = depth_tree(self.p, self.x)
+        t = depth_tree(self.rel)
         h = exploration_height(t)
         for v in range(4):
             assert h.left_limit(t.e_times[v]) == t.heights[v]
 
     def test_classical_identity(self):
-        t = depth_tree(self.p, self.x)
+        t = depth_tree(self.rel)
         assert classical_identity_error(t) == 0.0
 
     def test_breadth_same_tree_here(self):
-        t = breadth_tree(self.p, self.x)
+        t = breadth_tree(self.rel)
         assert list(t.parent) == [-1, 2, 0, 0]
-        exc, _, _ = particle_excursion(self.p, self.x)
+        exc = particle_excursion(self.rel)
         assert generation_error(t, exc, self.p) <= 1e-12
         w, wbar = width_profile(t, self.p)
         assert list(wbar[1:3]) == pytest.approx([0.4, 0.7])
         assert list(w[1:3]) == pytest.approx([0.3, 0.3])
 
     def test_width_profile(self):
-        t = breadth_tree(self.p, self.x)
-        exc, _, _ = particle_excursion(self.p, self.x)
+        t = breadth_tree(self.rel)
+        exc = particle_excursion(self.rel)
         assert width_error(t, exc, self.p) <= 1e-12
         w, wbar = width_profile(t, self.p)
         assert list(w) == pytest.approx([0.4, 0.3, 0.3, 0.0])
@@ -320,16 +394,17 @@ class TestHandFourHeavy:
 class TestPendingHeavySign:
     p = PSeq(np.array([0.5, 0.3, 0.2]), n_heavy=1)
     x = [0.25, 0.05, 0.15]
+    rel = relocate(p, x)
 
     def test_structure(self):
-        t = depth_tree(self.p, self.x)
+        t = depth_tree(self.rel)
         assert t.root == 1
         assert list(t.order) == [1, 2, 0]
         assert list(t.parent) == [1, -1, 1]
 
     def test_corrected_value_at_pending_heavy(self):
-        t = depth_tree(self.p, self.x)
-        exc, _, _ = particle_excursion(self.p, self.x)
+        t = depth_tree(self.rel)
+        exc = particle_excursion(self.rel)
         g = corrected_excursion(t, exc, self.p)
         assert g.value(t.e_times[2]) == pytest.approx(0.5, abs=1e-12)
         assert corrected_pending_error(t, exc, self.p) <= 1e-12
@@ -344,18 +419,19 @@ class TestPendingHeavySign:
 class TestHandOnIntervalEnd:
     p = uniform_pseq(4)
     x = [0.625, 0.25, 0.75, 0.375]
+    rel = relocate(p, x)
 
     @pytest.mark.parametrize("build", [breadth_tree, depth_tree])
     def test_end_claims_its_position(self, build):
-        t = build(self.p, self.x)
+        t = build(self.rel)
         assert t.positions[2] == 0.5 and t.visit_cum[2] == 0.5
         assert list(t.parent) == [3, -1, 3, 1]
         assert list(t.children(3)) == [0, 2]
         assert list(t.order) == [1, 3, 0, 2]
 
     def test_pending_identity(self):
-        t = depth_tree(self.p, self.x)
-        exc, _, _ = particle_excursion(self.p, self.x)
+        t = depth_tree(self.rel)
+        exc = particle_excursion(self.rel)
         assert list(t.e_times) == [0.75, 0.25, 1.0, 0.5]
         assert pending_mass_error(t, exc, self.p) <= 1e-12
 
@@ -393,19 +469,19 @@ class TestDepthTreeOracle:
         seeds = 3 if n == 10_000 else 10
         for p in vectors:
             for k in range(seeds):
-                x = sample_positions(p.n, RngState(31, k))
+                rel = sample_positions(p, RngState(31, k))
                 for kind, (build, reference) in REFERENCE_TREES.items():
-                    t = build(p, x)
+                    t = build(rel)
                     assert t.kind == kind
-                    assert_same_tree(t, reference(p, x))
-                exc, _, _ = particle_excursion(p, x)
-                assert pending_mass_error(depth_tree(p, x), exc, p) <= IDENTITY_TOL
+                    assert_same_tree(t, reference(p, rel))
+                exc = particle_excursion(rel)
+                assert pending_mass_error(depth_tree(rel), exc, p) <= IDENTITY_TOL
 
     def test_hand_realizations_match(self):
         for cls in (TestHandThree, TestHandFourHeavy, TestPendingHeavySign,
                     TestHandOnIntervalEnd):
             for build, reference in REFERENCE_TREES.values():
-                assert_same_tree(build(cls.p, cls.x), reference(cls.p, cls.x))
+                assert_same_tree(build(cls.rel), reference(cls.p, cls.rel))
 
 
 def reference_corrected_excursion(tree, exc, p):
@@ -465,16 +541,17 @@ def reference_corrected_excursion(tree, exc, p):
 class TestHandLastChildOfHeavy:
     p = PSeq(np.array([0.5, 0.25, 0.125, 0.125]), n_heavy=1)
     x = [0.375, 0.25, 0.625, 0.75]
+    rel = relocate(p, x)
 
     def test_structure(self):
-        t = depth_tree(self.p, self.x)
+        t = depth_tree(self.rel)
         assert t.root == 1 and list(t.order) == [1, 0, 2, 3]
         assert list(t.children(0)) == [2, 3]
         assert list(t.e_times) == [0.75, 0.25, 0.875, 1.0]
 
     def test_two_route_agreement(self):
-        t = depth_tree(self.p, self.x)
-        exc, _, _ = particle_excursion(self.p, self.x)
+        t = depth_tree(self.rel)
+        exc = particle_excursion(self.rel)
         assert corrected_pending_error(t, exc, self.p) <= 1e-12
 
 
@@ -485,8 +562,8 @@ class TestCorrectedExcursionOracle:
     @pytest.mark.parametrize("cls", [TestHandFourHeavy, TestPendingHeavySign,
                                      TestHandLastChildOfHeavy])
     def test_hand_realizations(self, cls):
-        t = depth_tree(cls.p, cls.x)
-        exc, _, _ = particle_excursion(cls.p, cls.x)
+        t = depth_tree(cls.rel)
+        exc = particle_excursion(cls.rel)
         assert_same_bits(corrected_excursion(t, exc, cls.p),
                          reference_corrected_excursion(t, exc, cls.p))
 
@@ -494,27 +571,28 @@ class TestCorrectedExcursionOracle:
     def test_sampled_trees(self, n):
         p = approximating_pseq(REFERENCE_THETA, n)
         for k in range(5 if n == 10_000 else 40):
-            x = sample_positions(p.n, RngState(32, k))
-            exc, _, _ = particle_excursion(p, x)
-            t = depth_tree(p, x)
+            rel = sample_positions(p, RngState(32, k))
+            exc = particle_excursion(rel)
+            t = depth_tree(rel)
             assert_same_bits(corrected_excursion(t, exc, p),
                              reference_corrected_excursion(t, exc, p))
 
 
 class TestSingleVertex:
     def test_trees(self):
-        p = uniform_pseq(1)
-        bt = breadth_tree(p, [0.4])
-        dt = depth_tree(p, [0.4])
+        rel = relocate(uniform_pseq(1), [0.4])
+        bt = breadth_tree(rel)
+        dt = depth_tree(rel)
         assert bt.n == 1 and list(bt.parent) == [-1]
         assert dt.n == 1 and list(dt.e_times) == [1.0]
 
     def test_identities(self):
         p = uniform_pseq(1)
-        exc, _, _ = particle_excursion(p, [0.4])
-        dt = depth_tree(p, [0.4])
+        rel = relocate(p, [0.4])
+        exc = particle_excursion(rel)
+        dt = depth_tree(rel)
         assert pending_mass_error(dt, exc, p) <= 1e-12
-        bt = breadth_tree(p, [0.4])
+        bt = breadth_tree(rel)
         assert generation_error(bt, exc, p) <= 1e-12
         w, wbar = width_profile(bt, p)
         assert list(wbar[1:]) == [1.0] and list(w[1:]) == [0.0]
@@ -528,12 +606,12 @@ class TestRandomRealizationIdentities:
         for k in range(30):
             n = 40
             p = approximating_pseq(reference_theta, n) if k % 2 else uniform_pseq(n)
-            x = sample_positions(p.n, RngState(19, k))
-            bt = breadth_tree(p, x)
-            dt = depth_tree(p, x)
+            rel = sample_positions(p, RngState(19, k))
+            bt = breadth_tree(rel)
+            dt = depth_tree(rel)
             bt.validate()
             dt.validate()
-            exc, _, _ = particle_excursion(p, x)
+            exc = particle_excursion(rel)
             assert pending_mass_error(dt, exc, p) <= IDENTITY_TOL
             assert claim_margin(bt) < 0.0 and claim_margin(dt) < 0.0
             assert generation_error(bt, exc, p) <= IDENTITY_TOL
@@ -547,8 +625,8 @@ class TestRandomRealizationIdentities:
         # height increments in examination order: +1 on descent, any
         # negative drop on backtrack
         p = approximating_pseq(reference_theta, 50)
-        x = sample_positions(p.n, RngState(23))
-        dt = depth_tree(p, x)
+        rel = sample_positions(p, RngState(23))
+        dt = depth_tree(rel)
         h = dt.heights[dt.order]
         steps = np.diff(h)
         assert ((steps == 1) | (steps <= 0)).all()
@@ -559,8 +637,8 @@ class TestRandomRealizationIdentities:
         # branchpoint height, possibly plus one
         p = approximating_pseq(reference_theta, 200)
         for k in range(30):
-            x = sample_positions(p.n, RngState(24, k))
-            dt = depth_tree(p, x)
+            rel = sample_positions(p, RngState(24, k))
+            dt = depth_tree(rel)
             h = exploration_height(dt)
             g = RngState(25, k).gen
             u1, u2 = np.sort(g.random(2))
@@ -587,7 +665,7 @@ class TestRandomRealizationIdentities:
             p = uniform_pseq(n)
             vals = np.empty(300)
             for k in range(300):
-                x = sample_positions(n, RngState(26, k))
+                x = RngState(26, k).gen.random(n)
                 vals[k] = particle_walk(p, x, t_star) / p.sigma
             ref = RngState(27).gen.normal(0.0, np.sqrt(t_star * (1 - t_star)), 300)
             stats.append(ks_two_sample(vals, ref).statistic)
@@ -613,9 +691,9 @@ class TestExactChecksCanFail:
         p = uniform_pseq(n) if vector == "uniform" else approximating_pseq(REFERENCE_THETA, n)
         checked = 0
         for k in range(10):
-            x = sample_positions(p.n, RngState(32, k))
-            exc, _, _ = particle_excursion(p, x)
-            tree = build(p, x)
+            rel = sample_positions(p, RngState(32, k))
+            exc = particle_excursion(rel)
+            tree = build(rel)
             err = error(tree, exc, p)
             if err is None:  # corrected: a heavy vertex has a heavy child
                 continue
@@ -628,9 +706,9 @@ class TestExactChecksCanFail:
         p = approximating_pseq(REFERENCE_THETA, 20)
         outcomes = set()
         for k in range(200):
-            x = sample_positions(p.n, RngState(33, k))
-            exc, _, _ = particle_excursion(p, x)
-            tree = depth_tree(p, x)
+            rel = sample_positions(p, RngState(33, k))
+            exc = particle_excursion(rel)
+            tree = depth_tree(rel)
             par = tree.parent[: p.n_heavy]
             heavy_child = bool(((par >= 0) & (par < p.n_heavy)).any())
             assert (corrected_pending_error(tree, exc, p) is None) == heavy_child
@@ -647,7 +725,7 @@ class TestTreeLawSmoke:
         counts = np.zeros(9)
         rng = RngState(101)
         for _ in range(20_000):
-            tr = breadth_tree(p, sample_positions(3, rng))
+            tr = breadth_tree(sample_positions(p, rng))
             counts[index[tr.parent_key()]] += 1
         rep = chi_square_gof(counts, probs)
         assert rep.p_value > 0.001
@@ -660,7 +738,7 @@ class TestTreeLawSmoke:
         counts = np.zeros(64)
         rng = RngState(102)
         for _ in range(20_000):
-            tr = depth_tree(p, sample_positions(4, rng))
+            tr = depth_tree(sample_positions(p, rng))
             counts[index[tr.parent_key()]] += 1
         rep = chi_square_gof(counts, probs)
         assert rep.p_value > 0.001
@@ -675,8 +753,8 @@ class TestTreeLawSmoke:
         cd = np.zeros(9)
         rng1, rng2 = RngState(103), RngState(104)
         for _ in range(reps):
-            cb[index[breadth_tree(p, sample_positions(3, rng1)).parent_key()]] += 1
-            cd[index[depth_tree(p, sample_positions(3, rng2)).parent_key()]] += 1
+            cb[index[breadth_tree(sample_positions(p, rng1)).parent_key()]] += 1
+            cd[index[depth_tree(sample_positions(p, rng2)).parent_key()]] += 1
         tv = 0.5 * np.abs(cb / reps - cd / reps).sum()
         assert tv < 0.02
 
@@ -718,7 +796,7 @@ class TestRepeatTime:
         side_b = np.empty(reps)
         for k in range(reps):
             r2 = RngState(107, k)
-            tr = breadth_tree(p, sample_positions(n, r2))
+            tr = breadth_tree(sample_positions(p, r2))
             v = int(p.draw(r2))
             h = 0
             while tr.parent[v] != -1:
