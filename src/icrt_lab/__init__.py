@@ -20,7 +20,6 @@ from .ptree import (
     RootedTree,
     approximating_pseq,
     breadth_tree,
-    classical_exploration,
     corrected_excursion,
     depth_tree,
     exploration_gap,

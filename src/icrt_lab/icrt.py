@@ -54,12 +54,6 @@ class EdgeTree:
     def n_nodes(self) -> int:
         return int(self.parent.size)
 
-    def children_lists(self) -> list:
-        out = [[] for _ in range(self.n_nodes)]
-        for v in range(1, self.n_nodes):
-            out[int(self.parent[v])].append(v)
-        return out
-
     def depths(self) -> np.ndarray:
         d = np.zeros(self.n_nodes)
         done = np.zeros(self.n_nodes, dtype=bool)
@@ -86,20 +80,6 @@ class EdgeTree:
 
     def scale_lengths(self, c: float) -> "EdgeTree":
         return EdgeTree(self.parent.copy(), c * self.lengths, dict(self.leaf_nodes))
-
-    def validate(self) -> None:
-        """Positive lengths; labeled leaves; unlabeled internal non-root
-        nodes of degree at least 3."""
-        if np.any(self.lengths[1:] <= 0.0):
-            raise ValueError("edge lengths must be positive")
-        kids = self.children_lists()
-        labeled = set(self.leaf_nodes.values())
-        for v in range(1, self.n_nodes):
-            deg = len(kids[v]) + 1
-            if len(kids[v]) == 0 and v not in labeled:
-                raise ValueError(f"unlabeled leaf node {v}")
-            if len(kids[v]) > 0 and v not in labeled and deg < 3:
-                raise ValueError(f"internal node {v} has degree {deg}")
 
     def to_json(self) -> str:
         edges = [[int(self.parent[v]), int(v), float(self.lengths[v])]

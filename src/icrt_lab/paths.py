@@ -376,7 +376,7 @@ def build_ei_bridge(theta: Theta, bridge: CadlagPath,
     return CadlagPath(t, left, right)
 
 
-def vervaat_transform(x: CadlagPath) -> tuple[CadlagPath, float]:
+def vervaat_transform(x: CadlagPath) -> CadlagPath:
     """Relocate the origin to the earliest infimum and re-base to zero.
 
     Requires zero endpoint values.  The (measure-zero) case of an infimum
@@ -386,10 +386,7 @@ def vervaat_transform(x: CadlagPath) -> tuple[CadlagPath, float]:
     if x.value(x.t0) != 0.0 or x.value(x.t1) != 0.0:
         raise ValueError("input must have zero endpoint values")
     k = x.argmin_breakpoint()
-    t_min = float(x.times[k])
-    base = float(min(x.left[k], x.right[k]))
-    exc = cyclic_shift(x, t_min, base)
-    return exc, t_min
+    return cyclic_shift(x, float(x.times[k]), float(min(x.left[k], x.right[k])))
 
 
 def running_infimum_forward(x: CadlagPath, t_from: float, t_to: float) -> CadlagPath:

@@ -460,48 +460,17 @@ def width_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
     return float(np.abs(exc.value(cumulative) - width).max())
 
 
-def _height_step_path(tree: RootedTree, t: np.ndarray) -> CadlagPath:
-    """Step path with the i-th examined vertex's height on [t[i-1], t[i])."""
-    _require(tree, "depth")
-    ht = tree.heights[tree.order].astype(float)
-    left = np.concatenate([[ht[0]], ht])
-    right = np.concatenate([ht, [ht[-1]]])
-    return CadlagPath(t, left, right)
-
-
 def exploration_height(tree: RootedTree) -> CadlagPath:
     """Step path whose value on the i-th examination interval is the height
     of the i-th examined vertex; heights at examination end times are the
     stored left limits."""
+    _require(tree, "depth")
     t = tree.visit_cum.copy()
     t[-1] = 1.0
-    return _height_step_path(tree, t)
-
-
-def dfs_mass_path(tree: RootedTree) -> CadlagPath:
-    """Linear interpolation of cumulative visit-order weight over i/n."""
-    n = tree.n
-    t = np.arange(n + 1) / n
-    v = tree.visit_cum.copy()
-    v[-1] = 1.0
-    return CadlagPath(t, v, v.copy())
-
-
-def classical_exploration(tree: RootedTree) -> CadlagPath:
-    """Step path with the i-th examined vertex's height on [(i-1)/n, i/n)."""
-    return _height_step_path(tree, np.arange(tree.n + 1) / tree.n)
-
-
-def classical_identity_error(tree: RootedTree) -> float:
-    """Max deviation, at cell midpoints, of the classical step path from the
-    exploration path composed with the cumulative-weight interpolant."""
-    _require(tree, "depth")
-    n = tree.n
-    hp = exploration_height(tree)
-    hn = classical_exploration(tree)
-    sn = dfs_mass_path(tree)
-    mids = (np.arange(n) + 0.5) / n
-    return float(np.abs(hn.value(mids) - hp.value(sn.value(mids))).max())
+    ht = tree.heights[tree.order].astype(float)
+    left = np.concatenate([[ht[0]], ht])
+    right = np.concatenate([ht, [ht[-1]]])
+    return CadlagPath(t, left, right)
 
 
 def corrected_excursion(tree: RootedTree, exc: CadlagPath, p: PSeq) -> CadlagPath:

@@ -129,7 +129,7 @@ def infimum_range_measure(x: CadlagPath, s: float) -> float:
 def sample_excursion(theta: Theta, m: int, rng: RngState) -> CadlagPath:
     """Sample the excursion: bridge, atom jumps, then origin relocation."""
     bridge = sample_brownian_bridge(m, rng)
-    exc, _ = vervaat_transform(build_ei_bridge(theta, bridge, rng=rng))
+    exc = vervaat_transform(build_ei_bridge(theta, bridge, rng=rng))
     return exc
 
 
@@ -154,7 +154,7 @@ def truncated_coupling(theta: Theta, keep: int, bridge: CadlagPath,
     if not 0 <= keep <= theta.length:
         raise ValueError("keep must be between 0 and the number of atoms")
     jump_times = [float(u) for u in jump_times]
-    x_full, _ = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=jump_times))
+    x_full = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=jump_times))
     ivs = jump_intervals(x_full)
     comps = [reflect_component(x_full, iv) for iv in ivs]
     y_full = subtract_on_windows(x_full, comps, _windows(ivs))

@@ -1,6 +1,6 @@
 """Deterministic random-number streams.
 
-Every sampler takes an explicit RngState; identical (seed, stream) pairs
+Every sampler takes an explicit RngState; identical (seed, spawn key) pairs
 reproduce identical sample sequences.  `child` derives independent streams
 of one seed through numpy's spawn keys: distinct keys never share a stream.
 """
@@ -11,18 +11,19 @@ import numpy as np
 
 
 class RngState:
-    """A (seed, stream) pair and a spawn key, wrapping a numpy Generator.
+    """A seed and a spawn key, wrapping a numpy Generator.
 
     The underlying generator is stateful: successive draws from the same
     RngState advance one deterministic sequence.
     """
 
-    def __init__(self, seed: int, stream: int = 0, spawn_key: tuple[int, ...] = ()):
+    def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
-        self.stream = int(stream)
         self.spawn_key = tuple(spawn_key)
+        # entropy (seed, 0), not seed alone: the pinned sample outputs and
+        # suite reports were drawn from it
         self._gen = np.random.default_rng(
-            np.random.SeedSequence((self.seed, self.stream), spawn_key=self.spawn_key))
+            np.random.SeedSequence((self.seed, 0), spawn_key=self.spawn_key))
 
     @property
     def gen(self) -> np.random.Generator:
@@ -34,7 +35,7 @@ class RngState:
         into 32-bit words, so (2**32,) would name the stream of (0, 1)."""
         if not all(0 <= k < 2 ** 32 for k in key):
             raise ValueError(f"spawn key entries must lie in [0, 2**32), got {key}")
-        return RngState(self.seed, self.stream, self.spawn_key + key)
+        return RngState(self.seed, self.spawn_key + key)
 
     def __repr__(self) -> str:
-        return f"RngState(seed={self.seed}, stream={self.stream}, spawn_key={self.spawn_key})"
+        return f"RngState(seed={self.seed}, spawn_key={self.spawn_key})"

@@ -22,7 +22,6 @@ from .ptree import (
     PSeq,
     approximating_pseq,
     breadth_tree,
-    classical_identity_error,
     claim_margin,
     corrected_pending_error,
     depth_tree,
@@ -70,37 +69,32 @@ def _stream(rng: RngState, side: str, k: int = 0, rejection: int = 0) -> RngStat
     return rng.child(zlib.crc32(side.encode()), k, rejection)
 
 
-def _run_checks(seed: int, checks, retry: bool = True):
-    """Run `checks`, a list of (build, check) pairs, at `seed`.
+def _run_checks(seed: int, builds, retry: bool = True):
+    """Run `builds` at `seed`.
 
-    build(rng) makes the data of one attempt from that attempt's stream
-    `RngState(seed).child(attempt)`, at most once per attempt; every check
-    naming it reads the same data.  check(data) returns a TestReport.  With
-    `retry`, a failing check runs once more on attempt 1; that report
-    carries `retried` and the first p-value, and decides.
+    build(rng) returns the TestReports of one attempt, made from that
+    attempt's stream `RngState(seed).child(attempt)`.  With `retry`, a
+    failing report i is followed by report i of attempt 1, which carries
+    `retried` and the first p-value, and decides.  Attempt 1 is built at
+    most once per build.
     """
     root = RngState(seed)
-    made = {}
     reports = []
     all_ok = True
-    for build, check in checks:
-        for attempt in (0, 1):
-            if (build, attempt) not in made:
-                made[build, attempt] = build(root.child(attempt))
-            rep = check(made[build, attempt])
+    for build in builds:
+        attempts = (build(root.child(attempt)) for attempt in (0, 1))
+        retried = None
+        for i, rep in enumerate(next(attempts)):
             rep.seed = seed
-            if attempt:
-                rep.extra.update({"retried": True, "first_p": reports[-1].p_value})
             reports.append(rep)
-            if rep.passed or not retry:
-                break
-        all_ok &= rep.passed
+            if retry and not rep.passed:
+                retried = retried or next(attempts)
+                first_p, rep = rep.p_value, retried[i]
+                rep.seed = seed
+                rep.extra.update({"retried": True, "first_p": first_p})
+                reports.append(rep)
+            all_ok &= rep.passed
     return reports, all_ok
-
-
-def _as_built(report: TestReport) -> TestReport:
-    """The check of a build that makes its own report."""
-    return report
 
 
 def _amax(values) -> float:
@@ -116,7 +110,7 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0):
     heavy-atom probability vectors alternating."""
     p_uniform = uniform_pseq(n)
     p_heavy = approximating_pseq(REFERENCE_THETA, n)
-    names = ("pending", "generation", "width", "claim", "classical", "corrected")
+    names = ("pending", "generation", "width", "claim", "corrected")
 
     def build(rng):
         errs = {name: [] for name in names}
@@ -134,32 +128,30 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0):
             dt.validate()
             errs["pending"].append(pending_mass_error(dt, exc, p))
             errs["claim"].append(max(claim_margin(dt), 0.0))
-            errs["classical"].append(classical_identity_error(dt))
             ce = corrected_pending_error(dt, exc, p)
             if ce is None:
                 hypothesis_skips += 1
             else:
                 errs["corrected"].append(ce)
-        return errs, hypothesis_skips
+        reports = []
+        for name in names:
+            worst = _amax(errs[name])
+            ok = worst <= IDENTITY_TOL
+            reports.append(TestReport(
+                suite=f"identities/{name}", statistic=worst, p_value=1.0 if ok else 0.0,
+                passed=ok, n_samples=len(errs[name]),
+                extra={"tol": IDENTITY_TOL, "n": n,
+                       "hypothesis_skips": hypothesis_skips if name == "corrected" else 0}))
+        return reports
 
-    def check(data, name):
-        errs, hypothesis_skips = data
-        worst = _amax(errs[name])
-        ok = worst <= IDENTITY_TOL
-        return TestReport(suite=f"identities/{name}", statistic=worst,
-                          p_value=1.0 if ok else 0.0, passed=ok, n_samples=len(errs[name]),
-                          extra={"tol": IDENTITY_TOL, "n": n,
-                                 "hypothesis_skips": hypothesis_skips if name == "corrected" else 0})
-
-    return _run_checks(seed, [(build, partial(check, name=name)) for name in names],
-                       retry=False)
+    return _run_checks(seed, [build], retry=False)
 
 
 # ---------------------------------------------------------------------------
 # 2. law of the constructions
 # ---------------------------------------------------------------------------
 
-def _tree_law_report(p: PSeq, kind: str, samples: int, rng: RngState) -> TestReport:
+def _tree_law_reports(p: PSeq, kind: str, samples: int, rng: RngState) -> list[TestReport]:
     suite = f"tree-law/{kind}-n{p.n}"
     trees = list(enumerate_parent_arrays(p.n))
     index = {t: i for i, t in enumerate(trees)}
@@ -170,13 +162,13 @@ def _tree_law_report(p: PSeq, kind: str, samples: int, rng: RngState) -> TestRep
     for _ in range(samples):
         tr = build(sample_positions(p, stream))
         counts[index[tr.parent_key()]] += 1
-    return chi_square_gof(counts, probs, suite=suite)
+    return [chi_square_gof(counts, probs, suite=suite)]
 
 
 def suite_tree_law(samples: int = 100_000, seed: int = 0):
     """Chi-square of both constructions against enumerated probabilities."""
     p3, p4 = uniform_pseq(3), PSeq(np.array([0.4, 0.3, 0.2, 0.1]))
-    return _run_checks(seed, [(partial(_tree_law_report, p, kind, samples), _as_built)
+    return _run_checks(seed, [partial(_tree_law_reports, p, kind, samples)
                               for p in (p3, p4) for kind in ("breadth", "depth")])
 
 
@@ -184,10 +176,26 @@ def suite_tree_law(samples: int = 100_000, seed: int = 0):
 # 3. reduced-tree law: function sampling vs line breaking
 # ---------------------------------------------------------------------------
 
+def _summary(et) -> tuple[float, float]:
+    """(total length, leaf-1 depth) of a reduced tree."""
+    return et.total_length(), et.leaf_depths()[0]
+
+
+def _reduced_law_reports(a: np.ndarray, b: np.ndarray, leaves: int,
+                         prefix: str) -> list[TestReport]:
+    """KS tests of two samples of `leaves`-leaf reduced-tree summaries
+    (rows of `_summary`), one per column, named `prefix`-column.  A
+    one-leaf tree is one edge: its leaf depth is its total length, so only
+    the total length is compared."""
+    columns = ["total-length"] if leaves == 1 else ["total-length", "leaf-depth"]
+    return [ks_two_sample(a[:, col], b[:, col], suite=f"{prefix}-{stat}")
+            for col, stat in enumerate(columns)]
+
+
 def _function_tree_summaries(theta, grid: int, replicates: int, leaves_list,
                              rng: RngState, side: str):
-    """Per-replicate (total length, leaf-1 depth) of function-sampled trees
-    from the scaled reflected excursion, for each leaf count.
+    """Per-replicate summaries of function-sampled trees from the scaled
+    reflected excursion, for each leaf count.
 
     Point evaluations carry the grid-minimum continuity correction (the
     relocated origin sits MONITORING_BETA/sqrt(grid) above the true
@@ -202,9 +210,7 @@ def _function_tree_summaries(theta, grid: int, replicates: int, leaves_list,
         path = sample_reflected(theta, grid, stream).scale_values(scale)
         for j in leaves_list:
             u = stream.gen.random(j)
-            et = sample_function_tree(path, u, leaf_shift=shift)
-            out[j][k, 0] = et.total_length()
-            out[j][k, 1] = et.leaf_depths()[0]
+            out[j][k] = _summary(sample_function_tree(path, u, leaf_shift=shift))
     return out
 
 
@@ -212,9 +218,7 @@ def _line_breaking_summaries(theta, leaves: int, replicates: int, rng: RngState,
                              side: str):
     out = np.empty((replicates, 2))
     for k in range(replicates):
-        et = line_breaking_tree(theta, leaves, _stream(rng, side, k))
-        out[k, 0] = et.total_length()
-        out[k, 1] = et.leaf_depths()[0]
+        out[k] = _summary(line_breaking_tree(theta, leaves, _stream(rng, side, k)))
     return out
 
 
@@ -222,25 +226,18 @@ def suite_theorem1(replicates: int = 10_000, grid: int = 2 ** 14, seed: int = 0,
                    leaves_list=(1, 2, 3)):
     """Reduced trees sampled from the scaled reflected excursion match the
     line-breaking law, for the Brownian and the reference parameters."""
-    checks = []
-    for name, theta in [("brownian", BROWNIAN_THETA), ("reference", REFERENCE_THETA)]:
-        def build(rng, theta=theta, name=name):
-            fn = _function_tree_summaries(theta, grid, replicates, leaves_list, rng,
-                                          f"theorem1/{name}/function")
-            return {j: (fn[j], _line_breaking_summaries(
-                        theta, j, replicates, rng, f"theorem1/{name}/line-breaking-J{j}"))
-                    for j in leaves_list}
-
+    def theta_reports(name, theta, rng):
+        fn = _function_tree_summaries(theta, grid, replicates, leaves_list, rng,
+                                      f"theorem1/{name}/function")
+        reports = []
         for j in leaves_list:
-            # a one-leaf tree is one edge: its leaf depth is its total length
-            columns = ["total-length"] if j == 1 else ["total-length", "leaf-depth"]
-            for col, stat in enumerate(columns):
-                def check(per, j=j, col=col, stat=stat, name=name):
-                    fn, lb = per[j]
-                    return ks_two_sample(fn[:, col], lb[:, col],
-                                         suite=f"theorem1/{name}-J{j}-{stat}")
-                checks.append((build, check))
-    return _run_checks(seed, checks)
+            lb = _line_breaking_summaries(theta, j, replicates, rng,
+                                          f"theorem1/{name}/line-breaking-J{j}")
+            reports += _reduced_law_reports(fn[j], lb, j, f"theorem1/{name}-J{j}")
+        return reports
+
+    return _run_checks(seed, [partial(theta_reports, name, theta) for name, theta
+                              in [("brownian", BROWNIAN_THETA), ("reference", REFERENCE_THETA)]])
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +259,7 @@ def _spanning_summaries(p: PSeq, leaves: int, replicates: int, rng: RngState):
             except (DuplicateSampleError, DegenerateError, TieError):
                 rejects += 1
                 rejection += 1
-        st = et.scale_lengths(sigma)
-        out[k, 0] = st.total_length()
-        out[k, 1] = st.leaf_depths()[0]
+        out[k] = _summary(et.scale_lengths(sigma))
     return out, rejects
 
 
@@ -276,19 +271,16 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
     2^12)."""
     p = approximating_pseq(REFERENCE_THETA, n)
 
-    def build_sides(rng):
+    def spanning_reports(rng):
         sp, rejects = _spanning_summaries(p, leaves, replicates, rng)
         lb = _line_breaking_summaries(REFERENCE_THETA, leaves, replicates, rng,
                                       "theorem2/line-breaking")
-        return sp, lb, rejects
+        reports = _reduced_law_reports(sp, lb, leaves, "theorem2/spanning")
+        for rep in reports:
+            rep.extra["resample_count"] = rejects
+        return reports
 
-    def spanning_check(sides, col, stat):
-        sp, lb, rejects = sides
-        rep = ks_two_sample(sp[:, col], lb[:, col], suite=f"theorem2/spanning-{stat}")
-        rep.extra["resample_count"] = rejects
-        return rep
-
-    def marginal_report(rng):
+    def marginal_reports(rng):
         u_star = 0.5
         pm = approximating_pseq(REFERENCE_THETA, 10_000)
         marginal_grid = 2 ** 12
@@ -303,13 +295,9 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
             exc = sample_excursion(REFERENCE_THETA, marginal_grid,
                                    _stream(rng, "theorem2/width-marginal/excursion", k))
             marginals[k] = exc.value(u_star) + eps
-        return ks_two_sample(widths, marginals, suite="theorem2/width-marginal")
+        return [ks_two_sample(widths, marginals, suite="theorem2/width-marginal")]
 
-    # a one-leaf tree is one edge: its leaf depth is its total length
-    columns = ["total-length"] if leaves == 1 else ["total-length", "leaf-depth"]
-    return _run_checks(seed, [(build_sides, partial(spanning_check, col=col, stat=stat))
-                              for col, stat in enumerate(columns)]
-                       + [(marginal_report, _as_built)])
+    return _run_checks(seed, [spanning_reports, marginal_reports])
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +343,7 @@ def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0):
         raise ValueError("the height-mean check needs replicates >= 2 for a sample variance")
     eps = MONITORING_BETA / np.sqrt(grid)
 
-    def mean_report(rng):
+    def mean_reports(rng):
         totals = np.empty(replicates)
         maxes = np.empty(replicates)
         for k in range(replicates):
@@ -368,13 +356,13 @@ def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0):
         diff = abs(totals.mean() - maxes.mean())
         se = float(np.sqrt(totals.var(ddof=1) / replicates + maxes.var(ddof=1) / replicates))
         ok = diff <= 3.0 * se
-        return TestReport(suite="jeulin/height-mean", statistic=diff / se if se else 0.0,
-                          p_value=1.0 if ok else 0.0, passed=ok, n_samples=replicates,
-                          extra={"mean_integral": totals.mean(), "mean_2max": maxes.mean(),
-                                 "combined_se": se})
+        return [TestReport(suite="jeulin/height-mean", statistic=diff / se if se else 0.0,
+                           p_value=1.0 if ok else 0.0, passed=ok, n_samples=replicates,
+                           extra={"mean_integral": totals.mean(), "mean_2max": maxes.mean(),
+                                  "combined_se": se})]
 
-    return _run_checks(seed, [(partial(jeulin_check, grid, replicates), _as_built),
-                              (mean_report, _as_built)])
+    return _run_checks(seed, [lambda rng: [jeulin_check(grid, replicates, rng)],
+                              mean_reports])
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +372,20 @@ def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0):
 def suite_pkey(ns=(1000, 10_000, 100_000), reps: int = 200, seed: int = 0):
     """Median uniform gap between scaled height and corrected excursion
     decreases strictly along the n ladder."""
-    def report(rng):
+    def reports(rng):
         medians = []
         for n in ns:
             p = approximating_pseq(REFERENCE_THETA, n)
             gaps = [exploration_gap(p, _stream(rng, f"pkey/n{n}", k)) for k in range(reps)]
             medians.append(float(np.median(gaps)))
         ok = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
-        return TestReport(suite="pkey/median-trend",
-                          statistic=max(medians[i + 1] / medians[i]
-                                        for i in range(len(medians) - 1)),
-                          p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps,
-                          extra={"ns": list(ns), "medians": medians})
+        return [TestReport(suite="pkey/median-trend",
+                           statistic=max(medians[i + 1] / medians[i]
+                                         for i in range(len(medians) - 1)),
+                           p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps,
+                           extra={"ns": list(ns), "medians": medians})]
 
-    return _run_checks(seed, [(report, _as_built)], retry=False)
+    return _run_checks(seed, [reports], retry=False)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +399,7 @@ def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0):
     atoms = theta.atoms
     tails = {k: sum(atoms[k:]) for k in range(1, len(atoms) + 1)}
 
-    def report(rng):
+    def reports(rng):
         worst_excess = -np.inf
         mono_fail = 0
         for r in range(reps):
@@ -427,11 +415,11 @@ def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0):
             if any(dists[i + 1] > dists[i] + IDENTITY_TOL for i in range(len(dists) - 1)):
                 mono_fail += 1
         ok = worst_excess <= IDENTITY_TOL and mono_fail == 0
-        return TestReport(suite="unifconv/coupling", statistic=float(worst_excess),
-                          p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps,
-                          extra={"monotonicity_failures": mono_fail, "tol": IDENTITY_TOL})
+        return [TestReport(suite="unifconv/coupling", statistic=float(worst_excess),
+                           p_value=1.0 if ok else 0.0, passed=ok, n_samples=reps,
+                           extra={"monotonicity_failures": mono_fail, "tol": IDENTITY_TOL})]
 
-    return _run_checks(seed, [(report, _as_built)], retry=False)
+    return _run_checks(seed, [reports], retry=False)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +430,7 @@ def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
     """First-repeat index minus two matches the height of a drawn vertex."""
     p = uniform_pseq(n)
 
-    def report(rng):
+    def reports(rng):
         rng_a = _stream(rng, "repeat-time/first-repeat")
         side_a = np.array([repeat_time_sample(p, rng_a)[0] - 2 for _ in range(replicates)])
         side_b = np.empty(replicates, dtype=np.int64)
@@ -451,9 +439,9 @@ def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
             tr = breadth_tree(sample_positions(p, stream))
             v = int(p.draw(stream))
             side_b[k] = tr.heights[v]
-        return ks_two_sample(side_a, side_b, suite="repeat-time")
+        return [ks_two_sample(side_a, side_b, suite="repeat-time")]
 
-    return _run_checks(seed, [(report, _as_built)])
+    return _run_checks(seed, [reports])
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +451,7 @@ def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
 def suite_y_oracle(reps: int = 100, grid: int = 2 ** 12, seed: int = 0):
     """Reflected excursion agrees with the range-measure representation at
     the midpoints of 100 equal cells of [0, 1]."""
-    def report(rng):
+    def reports(rng):
         worst = 0.0
         ss = (np.arange(100) + 0.5) / 100
         for r in range(reps):
@@ -473,10 +461,10 @@ def suite_y_oracle(reps: int = 100, grid: int = 2 ** 12, seed: int = 0):
             for s in ss:
                 worst = max(worst, abs(y.value(s) - infimum_range_measure(exc, float(s))))
         ok = worst <= IDENTITY_TOL
-        return TestReport(suite="y-oracle", statistic=worst, p_value=1.0 if ok else 0.0,
-                          passed=ok, n_samples=reps * ss.size, extra={"tol": IDENTITY_TOL})
+        return [TestReport(suite="y-oracle", statistic=worst, p_value=1.0 if ok else 0.0,
+                           passed=ok, n_samples=reps * ss.size, extra={"tol": IDENTITY_TOL})]
 
-    return _run_checks(seed, [(report, _as_built)], retry=False)
+    return _run_checks(seed, [reports], retry=False)
 
 
 SUITES = {

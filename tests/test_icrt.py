@@ -29,10 +29,28 @@ from icrt_lab.stats import ks_two_sample
 from conftest import make_tent
 
 
+def children_lists(et: EdgeTree) -> list:
+    out = [[] for _ in range(et.n_nodes)]
+    for v in range(1, et.n_nodes):
+        out[int(et.parent[v])].append(v)
+    return out
+
+
+def validate(et: EdgeTree) -> None:
+    """Positive lengths; labeled leaves; unlabeled internal non-root nodes
+    of degree at least 3."""
+    assert np.all(et.lengths[1:] > 0.0), "edge lengths must be positive"
+    kids = children_lists(et)
+    labeled = set(et.leaf_nodes.values())
+    for v in range(1, et.n_nodes):
+        # an unlabeled non-root node is neither a leaf nor of degree 2
+        assert v in labeled or len(kids[v]) >= 2, f"node {v} has {len(kids[v])} children"
+
+
 def shape_code(et: EdgeTree) -> str:
     """Canonical shape string: invariant under internal relabeling, leaf
     labels kept, edge lengths ignored."""
-    kids = et.children_lists()
+    kids = children_lists(et)
     labels_at: dict = {}
     for lab, node in et.leaf_nodes.items():
         labels_at.setdefault(node, []).append(lab)
@@ -92,25 +110,25 @@ class TestLineBreaking:
     def test_single_leaf_shape(self, brownian_theta):
         et = line_breaking_tree(brownian_theta, 1, RngState(3))
         assert et.n_nodes == 2 and len(et.leaf_nodes) == 1
-        et.validate()
+        validate(et)
 
     def test_two_leaves_one_branchpoint(self, brownian_theta):
         for k in range(20):
-            et = line_breaking_tree(brownian_theta, 2, RngState(4, k))
+            et = line_breaking_tree(brownian_theta, 2, RngState(4).child(k))
             assert et.n_nodes == 4  # root, branchpoint, two leaves
-            et.validate()
+            validate(et)
 
     def test_leaf_count(self, reference_theta):
         for j in (1, 2, 5):
             et = line_breaking_tree(reference_theta, j, RngState(5))
             assert len(et.leaf_nodes) == j
-            et.validate()
+            validate(et)
 
     def test_segment_lengths_shrink_with_stage(self, reference_theta):
         # the final segment is never subdivided, so the last leaf's edge is
         # the newest cutpoint gap; its mean shrinks as the stage grows
         def last_edge(j, k):
-            et = line_breaking_tree(reference_theta, j, RngState(6, k))
+            et = line_breaking_tree(reference_theta, j, RngState(6).child(k))
             return et.lengths[et.leaf_nodes[j]]
 
         early = np.mean([last_edge(2, k) for k in range(200)])
@@ -120,7 +138,7 @@ class TestLineBreaking:
     def test_rayleigh_first_branch(self, brownian_theta):
         # survival of the first cutpoint is exp(-x^2 / 2)
         n = 4000
-        ls = np.array([line_breaking_tree(brownian_theta, 1, RngState(7, k)).total_length()
+        ls = np.array([line_breaking_tree(brownian_theta, 1, RngState(7).child(k)).total_length()
                        for k in range(n)])
         ref = np.sqrt(2.0 * RngState(8).gen.exponential(size=n))
         rep = ks_two_sample(ls, ref)
@@ -129,7 +147,7 @@ class TestLineBreaking:
     def test_first_cut_survival_with_atoms(self, reference_theta):
         # survival exp(-theta0^2 x^2 / 2) * prod_i (1 + theta_i x) exp(-theta_i x)
         n = 4000
-        ls = np.array([line_breaking_tree(reference_theta, 1, RngState(9, k)).total_length()
+        ls = np.array([line_breaking_tree(reference_theta, 1, RngState(9).child(k)).total_length()
                        for k in range(n)])
         th0, atoms = reference_theta.theta0, reference_theta.atoms
 
@@ -159,8 +177,8 @@ class TestLineBreaking:
         theta = validate_theta(0.1, [0.99498743710662])  # norm within 1e-4
         counts = []
         for k in range(50):
-            et = line_breaking_tree(theta, 6, RngState(11, k))
-            kids = et.children_lists()
+            et = line_breaking_tree(theta, 6, RngState(11).child(k))
+            kids = children_lists(et)
             counts.append(max(len(c) for c in kids))
         assert max(counts) >= 3
 
@@ -200,12 +218,12 @@ class TestSampleFunctionTree:
 
     def test_branchpoint_count(self, reference_theta):
         for k in range(20):
-            y = sample_reflected(reference_theta, 256, RngState(14, k))
-            u = RngState(15, k).gen.random(5)
+            y = sample_reflected(reference_theta, 256, RngState(14).child(k))
+            u = RngState(15).child(k).gen.random(5)
             et = sample_function_tree(y, u)
             n_internal = et.n_nodes - 1 - len(et.leaf_nodes)
             assert n_internal <= 4  # at most J - 1 branchpoints
-            et.validate()
+            validate(et)
 
     def test_coincident_times_raise(self):
         with pytest.raises(DegenerateError):
@@ -270,7 +288,7 @@ def spanning_subtree_oracle(tree, vertices) -> EdgeTree:
 def length_code(et: EdgeTree) -> str:
     """Canonical shape string with each edge's length bits and the leaf
     labels; invariant under internal relabeling."""
-    kids = et.children_lists()
+    kids = children_lists(et)
     labels_at: dict = {}
     for lab, node in et.leaf_nodes.items():
         labels_at.setdefault(node, []).append(lab)
@@ -340,11 +358,11 @@ class TestSpanningOracle:
         count = 0
         for n in (60, 600, 6000):
             for p in (uniform_pseq(n), approximating_pseq(reference_theta, n)):
-                rel = sample_positions(p, RngState(20, n))
+                rel = sample_positions(p, RngState(20).child(n))
                 for build in (breadth_tree, depth_tree):
                     tree = build(rel)
                     for k in range(100):
-                        vertices = [int(v) for v in p.draw(RngState(21, k), size=2 + k % 5)]
+                        vertices = [int(v) for v in p.draw(RngState(21).child(k), size=2 + k % 5)]
                         new, old = reduce_both(tree, vertices)
                         assert new == old, (n, build.__name__, k)
                         count += 1
@@ -385,7 +403,7 @@ class TestSpanningSubtree:
             draws = 2000
             for k in range(draws):
                 try:
-                    spanning_subtree(tree, p, 5, RngState(17, k))
+                    spanning_subtree(tree, p, 5, RngState(17).child(k))
                 except (DuplicateSampleError, DegenerateError):
                     dup += 1
             rates.append(dup / draws)

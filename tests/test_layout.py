@@ -14,9 +14,14 @@ Every realisation of the particles is relocated once: `ptree.relocate` is
 called only by `sample_positions`, the excursion and both tree readings
 each take the one `Relocation`, and `ptree` calls neither `np.mod` nor
 `np.unique`.
+`verify` summarises every reduced tree in one function, `_summary`, and
+compares two reduced-tree laws in one function, `_reduced_law_reports`,
+which alone holds the one-leaf rule.
 Every public module-level function and class, and
 every public method and property of a package class, has a caller in the
-package or the benchmark, not only in the tests.
+package or the benchmark, not only in the tests.  Callers are matched by
+bare name, so a method that shares its name with a called method (as a
+`validate` would with `RootedTree.validate`) escapes the rule.
 """
 
 import ast
@@ -70,9 +75,9 @@ def test_no_unused_imports(path):
 RNG_CALLS = ("RngState", "child", "_stream")
 
 
-def _calls(tree: ast.Module, names):
-    """(enclosing function, callee name, call) for every call of a name or
-    attribute in `names`; the function is None at module level."""
+def _owned_nodes(tree: ast.Module):
+    """(enclosing function, node) for every node below a function or the
+    module; the function is None at module level."""
     out = []
 
     def visit(node, owner):
@@ -80,13 +85,22 @@ def _calls(tree: ast.Module, names):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 visit(child, getattr(child, "name", "<lambda>"))
                 continue
-            if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name in names:
-                    out.append((owner, name, child))
+            out.append((owner, child))
             visit(child, owner)
 
     visit(tree, None)
+    return out
+
+
+def _calls(tree: ast.Module, names):
+    """(enclosing function, callee name, call) for every call of a name or
+    attribute in `names`; the function is None at module level."""
+    out = []
+    for owner, node in _owned_nodes(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in names:
+                out.append((owner, name, node))
     return out
 
 
@@ -150,6 +164,22 @@ def test_one_relocation_per_realisation():
     assert [owner for owner, _, _ in _calls(trees["ptree"], ("mod", "unique"))] == []
 
 
+def test_reduced_laws_compared_in_one_place():
+    # the function, line-breaking and spanning sides share one summary, and
+    # theorem1 and theorem2 share one comparison with the one-leaf rule;
+    # suites hand `_run_checks` builds that return their reports
+    tree = _tree(PACKAGE / "verify.py")
+    summarisers = {owner for owner, _, _ in _calls(tree, ("total_length", "leaf_depths"))}
+    assert summarisers == {"_summary"}
+    holders = {owner for owner, node in _owned_nodes(tree)
+               if isinstance(node, ast.Constant) and node.value == "leaf-depth"}
+    assert holders == {"_reduced_law_reports"}
+    owners = {owner for owner, _, _ in _calls(tree, ("_reduced_law_reports",))}
+    assert owners == {"theta_reports", "spanning_reports"}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_as_built" not in defined | _referenced_names(tree)
+
+
 # Public names (`name` or `Class.method`) allowed to have no caller outside
 # the tests: name -> reason.
 UNCALLED_ALLOWED: dict[str, str] = {}
@@ -171,7 +201,8 @@ def _referenced_names(node: ast.AST) -> set[str]:
 
 def test_every_public_name_has_a_caller():
     # a name the package and the benchmark never use is test-only surface;
-    # a method or property may also be used by another member of its class
+    # a method or property may also be used by another member of its class.
+    # Names are matched bare: a method named like a called method passes.
     statements = [(path, stmt, _referenced_names(stmt))
                   for path in MODULES + sorted((ROOT / "bench").glob("*.py"))
                   for stmt in _tree(path).body]

@@ -123,7 +123,7 @@ class TestBrownianBridge:
         # grid marginals are exact, so the sample variance at t = 0.5 must
         # sit within 3 standard errors of 0.25
         reps = 10_000
-        vals = np.array([sample_brownian_bridge(4096, RngState(123, k)).value(0.5)
+        vals = np.array([sample_brownian_bridge(4096, RngState(123).child(k)).value(0.5)
                          for k in range(reps)])
         se = 0.25 * np.sqrt(2.0 / (reps - 1))
         assert abs(vals.var(ddof=1) - 0.25) < 3 * se
@@ -133,7 +133,7 @@ class TestBrownianBridge:
         a = np.empty(reps)
         b = np.empty(reps)
         for k in range(reps):
-            path = sample_brownian_bridge(4096, RngState(321, k))
+            path = sample_brownian_bridge(4096, RngState(321).child(k))
             a[k] = path.value(0.25)
             b[k] = path.value(0.75)
         cov = np.cov(a, b, ddof=1)[0, 1]
@@ -183,8 +183,8 @@ class TestEiBridgeOracle:
     def test_sampled_jump_times_match(self, m, seeds):
         for theta in (BROWNIAN_THETA, REFERENCE_THETA):
             for k in range(seeds):
-                b = sample_brownian_bridge(m, RngState(41, k))
-                rng, ref_rng = RngState(42, k), RngState(42, k)
+                b = sample_brownian_bridge(m, RngState(41).child(k))
+                rng, ref_rng = RngState(42).child(k), RngState(42).child(k)
                 assert_same_path(build_ei_bridge(theta, b, rng=rng),
                                  reference_ei_bridge(theta, b, rng=ref_rng))
                 assert rng.gen.random() == ref_rng.gen.random()
@@ -192,8 +192,8 @@ class TestEiBridgeOracle:
     @pytest.mark.parametrize("m", [2, 3, 64, 2 ** 12])
     def test_explicit_jump_times_match(self, m):
         for k in range(50):
-            b = sample_brownian_bridge(m, RngState(43, k))
-            u = RngState(44, k).gen.random(3)  # unsorted
+            b = sample_brownian_bridge(m, RngState(43).child(k))
+            u = RngState(44).child(k).gen.random(3)  # unsorted
             assert_same_path(build_ei_bridge(REFERENCE_THETA, b, jump_times=u),
                              reference_ei_bridge(REFERENCE_THETA, b, jump_times=u))
             assert_same_path(build_ei_bridge(BROWNIAN_THETA, b, jump_times=[]),
@@ -206,10 +206,10 @@ class TestEiBridgeOracle:
     def test_bridge_with_jumps_matches(self):
         # a bridge with jumps, where left and right values differ
         for k in range(20):
-            b = build_ei_bridge(REFERENCE_THETA, sample_brownian_bridge(64, RngState(45, k)),
-                                rng=RngState(46, k))
+            b = build_ei_bridge(REFERENCE_THETA, sample_brownian_bridge(64, RngState(45).child(k)),
+                                rng=RngState(46).child(k))
             for theta in (BROWNIAN_THETA, REFERENCE_THETA):
-                rng, ref_rng = RngState(47, k), RngState(47, k)
+                rng, ref_rng = RngState(47).child(k), RngState(47).child(k)
                 assert_same_path(build_ei_bridge(theta, b, rng=rng),
                                  reference_ei_bridge(theta, b, rng=ref_rng))
 
@@ -227,14 +227,14 @@ class TestEiBridgeOracle:
 class TestVervaat:
     def test_nonnegative_identity_case(self):
         tent = make_tent()
-        out, t_min = vervaat_transform(tent)
-        assert t_min == 0.0
-        assert sup_distance(out, tent) == 0.0
+        # the infimum sits at time 0, so nothing is relocated
+        assert sup_distance(vervaat_transform(tent), tent) == 0.0
 
     def test_triangle_to_tent(self):
         tri = continuous_path([0.0, 0.5, 1.0], [0.0, -0.5, 0.0])
-        out, t_min = vervaat_transform(tri)
-        assert t_min == 0.5
+        out = vervaat_transform(tri)
+        # the infimum at 1/2 becomes the origin: the relocated path is the tent
+        assert sup_distance(out, make_tent()) <= 1e-15
         assert out.value(0.25) == pytest.approx(0.25, abs=1e-15)
         assert out.value(0.75) == pytest.approx(0.25, abs=1e-15)
         assert out.value(0.5) == pytest.approx(0.5, abs=1e-15)
@@ -242,10 +242,10 @@ class TestVervaat:
     def test_random_inputs_nonnegative_zero_endpoints(self, reference_theta):
         # re-basing property on 1000 random bridges
         for k in range(1000):
-            rng = RngState(77, k)
+            rng = RngState(77).child(k)
             b = sample_brownian_bridge(32, rng)
             x = build_ei_bridge(reference_theta, b, rng=rng)
-            out, _ = vervaat_transform(x)
+            out = vervaat_transform(x)
             assert out.min_value() >= 0.0
             assert out.value(0.0) >= 0.0 and out.value(1.0) == 0.0
             _, sizes = out.jumps()
@@ -332,8 +332,8 @@ class TestCadlagPath:
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_vervaat_min_is_zero_property(seed):
-    rng = RngState(31337, seed)
+    rng = RngState(31337).child(seed)
     b = sample_brownian_bridge(16, rng)
-    out, _ = vervaat_transform(b)
+    out = vervaat_transform(b)
     assert out.min_value() >= 0.0
     assert abs(out.min_value()) < 1e-12

@@ -8,13 +8,10 @@ from icrt_lab.ptree import (
     PSeq,
     approximating_pseq,
     breadth_tree,
-    classical_exploration,
-    classical_identity_error,
     claim_margin,
     corrected_excursion,
     corrected_pending_error,
     depth_tree,
-    dfs_mass_path,
     enumerate_parent_arrays,
     exploration_gap,
     exploration_height,
@@ -249,7 +246,7 @@ class TestRelocation:
         vectors = [uniform_pseq(n) for n in (3, 50, 1000, 100_000)]
         vectors += [approximating_pseq(REFERENCE_THETA, n) for n in (50, 1000, 100_000)]
         for i, p in enumerate(vectors):
-            cases += [(p, RngState(34, 3 * i + k).gen.random(p.n)) for k in range(3)]
+            cases += [(p, RngState(34).child(3 * i + k).gen.random(p.n)) for k in range(3)]
         for p, x in cases:
             rel = relocate(p, x)
             want = np.mod(x - x[rel.root], 1.0)
@@ -363,10 +360,6 @@ class TestHandFourHeavy:
         for v in range(4):
             assert h.left_limit(t.e_times[v]) == t.heights[v]
 
-    def test_classical_identity(self):
-        t = depth_tree(self.rel)
-        assert classical_identity_error(t) == 0.0
-
     def test_breadth_same_tree_here(self):
         t = breadth_tree(self.rel)
         assert list(t.parent) == [-1, 2, 0, 0]
@@ -469,7 +462,7 @@ class TestDepthTreeOracle:
         seeds = 3 if n == 10_000 else 10
         for p in vectors:
             for k in range(seeds):
-                rel = sample_positions(p, RngState(31, k))
+                rel = sample_positions(p, RngState(31).child(k))
                 for kind, (build, reference) in REFERENCE_TREES.items():
                     t = build(rel)
                     assert t.kind == kind
@@ -571,7 +564,7 @@ class TestCorrectedExcursionOracle:
     def test_sampled_trees(self, n):
         p = approximating_pseq(REFERENCE_THETA, n)
         for k in range(5 if n == 10_000 else 40):
-            rel = sample_positions(p, RngState(32, k))
+            rel = sample_positions(p, RngState(32).child(k))
             exc = particle_excursion(rel)
             t = depth_tree(rel)
             assert_same_bits(corrected_excursion(t, exc, p),
@@ -606,7 +599,7 @@ class TestRandomRealizationIdentities:
         for k in range(30):
             n = 40
             p = approximating_pseq(reference_theta, n) if k % 2 else uniform_pseq(n)
-            rel = sample_positions(p, RngState(19, k))
+            rel = sample_positions(p, RngState(19).child(k))
             bt = breadth_tree(rel)
             dt = depth_tree(rel)
             bt.validate()
@@ -616,7 +609,6 @@ class TestRandomRealizationIdentities:
             assert claim_margin(bt) < 0.0 and claim_margin(dt) < 0.0
             assert generation_error(bt, exc, p) <= IDENTITY_TOL
             assert width_error(bt, exc, p) <= IDENTITY_TOL
-            assert classical_identity_error(dt) == 0.0
             ce = corrected_pending_error(dt, exc, p)
             if ce is not None:
                 assert ce <= IDENTITY_TOL
@@ -637,10 +629,10 @@ class TestRandomRealizationIdentities:
         # branchpoint height, possibly plus one
         p = approximating_pseq(reference_theta, 200)
         for k in range(30):
-            rel = sample_positions(p, RngState(24, k))
+            rel = sample_positions(p, RngState(24).child(k))
             dt = depth_tree(rel)
             h = exploration_height(dt)
-            g = RngState(25, k).gen
+            g = RngState(25).child(k).gen
             u1, u2 = np.sort(g.random(2))
             idx1 = int(np.searchsorted(dt.visit_cum, u1, side="left")) - 1
             idx2 = int(np.searchsorted(dt.visit_cum, u2, side="left")) - 1
@@ -665,7 +657,7 @@ class TestRandomRealizationIdentities:
             p = uniform_pseq(n)
             vals = np.empty(300)
             for k in range(300):
-                x = RngState(26, k).gen.random(n)
+                x = RngState(26).child(k).gen.random(n)
                 vals[k] = particle_walk(p, x, t_star) / p.sigma
             ref = RngState(27).gen.normal(0.0, np.sqrt(t_star * (1 - t_star)), 300)
             stats.append(ks_two_sample(vals, ref).statistic)
@@ -675,7 +667,7 @@ class TestRandomRealizationIdentities:
         meds = []
         for n in (200, 2000):
             p = uniform_pseq(n)
-            meds.append(np.median([exploration_gap(p, RngState(28, k)) for k in range(15)]))
+            meds.append(np.median([exploration_gap(p, RngState(28).child(k)) for k in range(15)]))
         assert meds[1] < meds[0]
 
 
@@ -691,7 +683,7 @@ class TestExactChecksCanFail:
         p = uniform_pseq(n) if vector == "uniform" else approximating_pseq(REFERENCE_THETA, n)
         checked = 0
         for k in range(10):
-            rel = sample_positions(p, RngState(32, k))
+            rel = sample_positions(p, RngState(32).child(k))
             exc = particle_excursion(rel)
             tree = build(rel)
             err = error(tree, exc, p)
@@ -706,7 +698,7 @@ class TestExactChecksCanFail:
         p = approximating_pseq(REFERENCE_THETA, 20)
         outcomes = set()
         for k in range(200):
-            rel = sample_positions(p, RngState(33, k))
+            rel = sample_positions(p, RngState(33).child(k))
             exc = particle_excursion(rel)
             tree = depth_tree(rel)
             par = tree.parent[: p.n_heavy]
@@ -795,7 +787,7 @@ class TestRepeatTime:
         side_a = np.array([repeat_time_sample(p, rng)[0] - 2 for _ in range(reps)])
         side_b = np.empty(reps)
         for k in range(reps):
-            r2 = RngState(107, k)
+            r2 = RngState(107).child(k)
             tr = breadth_tree(sample_positions(p, r2))
             v = int(p.draw(r2))
             h = 0
@@ -826,6 +818,6 @@ class TestDiagnostics:
 
     def test_gap_brownian_case(self):
         p = uniform_pseq(400)
-        gaps = [exploration_gap(p, RngState(29, k)) for k in range(10)]
+        gaps = [exploration_gap(p, RngState(29).child(k)) for k in range(10)]
         assert all(g > 0 for g in gaps)
         assert np.median(gaps) < 1.0

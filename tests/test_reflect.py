@@ -109,7 +109,7 @@ class TestJumpIntervals:
 
     def test_laminar_on_samples(self, reference_theta):
         for k in range(50):
-            exc = sample_excursion(reference_theta, 256, RngState(13, k))
+            exc = sample_excursion(reference_theta, 256, RngState(13).child(k))
             ivs = jump_intervals(exc)
             for a in ivs:
                 for b in ivs:
@@ -149,7 +149,7 @@ class TestReflectedExcursion:
 
     def test_continuity_and_positivity(self, reference_theta):
         for k in range(50):
-            exc = sample_excursion(reference_theta, 512, RngState(14, k))
+            exc = sample_excursion(reference_theta, 512, RngState(14).child(k))
             y = reflected_excursion(exc)
             assert np.abs(y.right - y.left).max() <= 1e-12
             assert y.min_value() >= -1e-12
@@ -159,7 +159,7 @@ class TestReflectedExcursion:
         # within an interval free of nested jumps, the reflected path minus
         # its value at the opening equals the excursion above its running low
         for k in range(10):
-            exc = sample_excursion(reference_theta, 512, RngState(15, k))
+            exc = sample_excursion(reference_theta, 512, RngState(15).child(k))
             y = reflected_excursion(exc)
             ivs = jump_intervals(exc)
             for iv in ivs:
@@ -186,7 +186,7 @@ class TestRangeMeasureOracle:
     def test_oracle_matches_reflection(self, reference_theta, brownian_theta):
         for k in range(20):
             theta = reference_theta if k % 2 else brownian_theta
-            exc = sample_excursion(theta, 1024, RngState(16, k))
+            exc = sample_excursion(theta, 1024, RngState(16).child(k))
             y = reflected_excursion(exc)
             for s in np.linspace(0.005, 0.995, 25):
                 assert abs(y.value(s) - infimum_range_measure(exc, float(s))) <= 1e-9
@@ -194,7 +194,7 @@ class TestRangeMeasureOracle:
 
 class TestTruncatedCoupling:
     def _shared(self, seed, reference_theta):
-        rng = RngState(18, seed)
+        rng = RngState(18).child(seed)
         bridge = sample_brownian_bridge(512, rng)
         us = [float(rng.gen.uniform()) for _ in reference_theta.atoms]
         return bridge, us
@@ -224,7 +224,7 @@ class TestTruncatedCoupling:
         atoms = (0.3, 0.2, 0.2)
         theta = theta_with_atoms(atoms)
         for k in range(200):
-            rng = RngState(31, k)
+            rng = RngState(31).child(k)
             bridge = sample_brownian_bridge(64, rng)
             us = [float(rng.gen.uniform()) for _ in atoms]
             for keep in (1, 2):
@@ -258,7 +258,7 @@ class TestWindowOnlySubtraction:
     def test_sampled_excursions(self, grid, atoms, reference_theta):
         theta = reference_theta if atoms == "reference" else theta_with_atoms(MANY_ATOMS)
         for k in range(4 if grid == 2 ** 14 else 20):
-            x = sample_excursion(theta, grid, RngState(19, k))
+            x = sample_excursion(theta, grid, RngState(19).child(k))
             assert_same_bits(reflected_excursion(x), combine_oracle(x, jump_intervals(x)))
 
     @pytest.mark.parametrize("grid", [8, 2 ** 10])
@@ -266,10 +266,10 @@ class TestWindowOnlySubtraction:
     def test_truncated_coupling_every_keep(self, grid, atoms, reference_theta):
         theta = reference_theta if atoms == "reference" else theta_with_atoms(MANY_ATOMS)
         for k in range(5):
-            rng = RngState(20, k)
+            rng = RngState(20).child(k)
             bridge = sample_brownian_bridge(grid, rng)
             us = [float(rng.gen.uniform()) for _ in theta.atoms]
-            x, _ = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=us))
+            x = vervaat_transform(build_ei_bridge(theta, bridge, jump_times=us))
             ivs = jump_intervals(x)
             by_size = np.argsort([-iv.size for iv in ivs], kind="stable")
             for keep in range(theta.length + 1):

@@ -1,9 +1,9 @@
 """Random streams and the replicate helper behind the verification suites.
 
 Every suite draws from streams named (attempt, side, replicate, rejection)
-off `RngState(seed)`, and runs its checks through `verify._run_checks`,
-which builds each attempt's data once and re-runs a failing check once on
-attempt 1.
+off `RngState(seed)`, and runs its builds through `verify._run_checks`:
+a build returns the reports of one attempt, and a failing report is
+replaced by the same report of attempt 1, built at most once.
 """
 
 import zlib
@@ -60,13 +60,13 @@ def assert_apart(a, b):
 
 class TestRngState:
     def test_root_stream_is_unchanged(self):
-        assert np.array_equal(RngState(5, 3).gen.random(8),
-                              np.random.default_rng((5, 3)).random(8))
+        assert np.array_equal(RngState(5).gen.random(8),
+                              np.random.default_rng((5, 0)).random(8))
 
     def test_children_are_apart_from_the_root_and_each_other(self):
         root = RngState(5)
         streams = [root, root.child(0), root.child(1), root.child(1, 2), root.child(1, 2, 0),
-                   root.child(2, 1), RngState(5, 1)]
+                   root.child(2, 1), RngState(6)]
         values = [s.gen.random(4) for s in streams]
         for i in range(len(values)):
             for j in range(i):
@@ -121,32 +121,33 @@ class TestStreamsNeverCollide:
         assert_apart(draws(side), retry)
 
 
-def recording_build(value_of_attempt):
-    """A build that records the spawn key of every attempt it makes."""
-    made = []
-
-    def build(rng):
-        made.append(rng.spawn_key)
-        return value_of_attempt[rng.spawn_key[-1]]
-    return build, made
-
-
-def verdict(passed_p):
+def scripted(passed_p):
     passed, p = passed_p
     return stats.TestReport(suite="scripted", statistic=0.0, p_value=p, passed=passed, n_samples=1)
 
 
+def recording_build(verdicts_of_attempt):
+    """A build that returns the scripted reports of each attempt and records
+    the spawn key of every attempt it makes."""
+    made = []
+
+    def build(rng):
+        made.append(rng.spawn_key)
+        return [scripted(v) for v in verdicts_of_attempt[rng.spawn_key[-1]]]
+    return build, made
+
+
 class TestRunChecks:
     def test_pass_gives_one_report(self):
-        build, made = recording_build({0: (True, 0.4)})
-        reports, ok = verify._run_checks(7, [(build, verdict)])
+        build, made = recording_build({0: [(True, 0.4)]})
+        reports, ok = verify._run_checks(7, [build])
         assert ok and len(reports) == 1
         assert "retried" not in reports[0].extra and reports[0].seed == 7
         assert made == [(0,)]
 
     def test_fail_then_pass_gives_two_reports(self):
-        build, made = recording_build({0: (False, 0.003), 1: (True, 0.6)})
-        reports, ok = verify._run_checks(7, [(build, verdict)])
+        build, made = recording_build({0: [(False, 0.003)], 1: [(True, 0.6)]})
+        reports, ok = verify._run_checks(7, [build])
         assert ok
         assert [r.passed for r in reports] == [False, True]
         assert "retried" not in reports[0].extra
@@ -155,26 +156,37 @@ class TestRunChecks:
         assert made == [(0,), (1,)]
 
     def test_fail_twice_fails_the_suite(self):
-        build, _ = recording_build({0: (False, 0.003), 1: (False, 0.001)})
-        reports, ok = verify._run_checks(7, [(build, verdict)])
+        build, _ = recording_build({0: [(False, 0.003)], 1: [(False, 0.001)]})
+        reports, ok = verify._run_checks(7, [build])
         assert not ok
         assert [r.passed for r in reports] == [False, False]
         assert reports[1].extra["retried"] is True
 
     def test_retry_build_is_made_once(self):
-        build, made = recording_build({0: (False, 0.003), 1: (True, 0.6)})
-        other, other_made = recording_build({0: (True, 0.5)})
-        reports, ok = verify._run_checks(7, [(build, verdict), (other, verdict),
-                                             (build, verdict)])
+        # reports of one build share its data: a failure in one rebuilds
+        # attempt 1 for that build only
+        build, made = recording_build({0: [(False, 0.003), (True, 0.2)],
+                                       1: [(True, 0.6), (False, 0.001)]})
+        other, other_made = recording_build({0: [(True, 0.5)]})
+        reports, ok = verify._run_checks(7, [build, other])
         assert ok
-        assert [r.extra.get("retried", False) for r in reports] == [False, True, False,
-                                                                    False, True]
+        assert [r.extra.get("retried", False) for r in reports] == [False, True, False, False]
+        assert [r.p_value for r in reports] == [0.003, 0.6, 0.2, 0.5]
         assert made == [(0,), (1,)]
         assert other_made == [(0,)]
 
+    def test_second_failure_reuses_the_retry_build(self):
+        build, made = recording_build({0: [(False, 0.003), (True, 0.2), (False, 0.004)],
+                                       1: [(True, 0.6), (True, 0.7), (False, 0.002)]})
+        reports, ok = verify._run_checks(7, [build])
+        assert not ok
+        assert [r.p_value for r in reports] == [0.003, 0.6, 0.2, 0.004, 0.002]
+        assert [r.extra.get("first_p") for r in reports] == [None, 0.003, None, None, 0.004]
+        assert made == [(0,), (1,)]
+
     def test_exact_checks_are_not_retried(self):
-        build, made = recording_build({0: (False, 0.0)})
-        reports, ok = verify._run_checks(7, [(build, verdict)], retry=False)
+        build, made = recording_build({0: [(False, 0.0)]})
+        reports, ok = verify._run_checks(7, [build], retry=False)
         assert not ok and len(reports) == 1
         assert made == [(0,)]
 

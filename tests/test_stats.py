@@ -65,7 +65,7 @@ class TestKs:
     def test_null_p_values_roughly_uniform(self):
         ps = []
         for k in range(200):
-            g = RngState(3, k).gen
+            g = RngState(3).child(k).gen
             ps.append(ks_two_sample(g.random(150), g.random(150)).p_value)
         ps = np.array(ps)
         assert (ps < 0.01).mean() < 0.06
@@ -225,9 +225,9 @@ class TestJeulin:
         tot = np.empty(n)
         mx = np.empty(n)
         for k in range(n):
-            e1 = sample_excursion(brownian_theta, m, RngState(9, k))
+            e1 = sample_excursion(brownian_theta, m, RngState(9).child(k))
             tot[k] = excursion_time_change(e1, shift=eps).total
-            e2 = sample_excursion(brownian_theta, m, RngState(10, k))
+            e2 = sample_excursion(brownian_theta, m, RngState(10).child(k))
             mx[k] = 2.0 * (e2.max_value() + eps)
         rep = ks_two_sample(tot, mx)
         assert rep.p_value > 0.001
@@ -236,7 +236,7 @@ class TestJeulin:
         # the discretization bias shrinks as the grid doubles
         meds = []
         for m in (2 ** 8, 2 ** 11):
-            stats = [jeulin_check(m, 150, RngState(7, r)).statistic for r in range(5)]
+            stats = [jeulin_check(m, 150, RngState(7).child(r)).statistic for r in range(5)]
             meds.append(np.median(stats))
         assert meds[1] <= meds[0] + 0.02
 
@@ -244,7 +244,7 @@ class TestJeulin:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=0, max_value=5000))
 def test_occupation_integral_exact_property(m, seed):
-    g = RngState(8, seed).gen
+    g = RngState(8).child(seed).gen
     t = np.sort(np.concatenate([[0.0, 1.0], g.random(m - 1)]))
     t = np.unique(t)
     v = g.random(t.size)
@@ -259,7 +259,7 @@ def test_occupation_integral_exact_property(m, seed):
 def test_occupation_bins_sum_to_band_time_property(m, seed, bin_width):
     # values on a coarse lattice, so flat pieces and pieces lying on a bin
     # edge occur; each must be counted in exactly one bin
-    g = RngState(9, seed).gen
+    g = RngState(9).child(seed).gen
     t = np.unique(np.concatenate([[0.0, 1.0], g.random(m - 1)]))
     x = continuous_path(t, 0.05 * g.integers(-4, 12, size=t.size))
     edges, times = band_times(x, bin_width)
