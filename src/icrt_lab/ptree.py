@@ -5,8 +5,10 @@ unit circle; the walk with drift -1 and a jump of p_i at particle i encodes
 a random rooted tree on [n] with probability prod_v p_v^(children of v).
 Each realisation is relocated once, at the minimizing particle, into a
 `Relocation`; the walk's excursion and both the breadth-first and the
-depth-first readings are views of it.  The exact structural identities
-tying the tree to the walk are implemented too: pending-mass,
+depth-first readings are views of it.  Many small trees at once, as the
+law check needs, come from `_parent_rows`: the same parent arrays, bit for
+bit, from one draw matrix read row by row.  The exact structural
+identities tying the tree to the walk are implemented too: pending-mass,
 generation-weight, width, and exploration-height relations.
 """
 
@@ -153,9 +155,6 @@ class RootedTree:
             seen[v] = True
         if not seen.all():
             raise ValueError("not all vertices reached")
-
-    def parent_key(self) -> tuple:
-        return tuple(int(v) for v in self.parent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,6 +378,131 @@ def depth_tree(rel: Relocation) -> RootedTree:
 
 
 # ---------------------------------------------------------------------------
+# Many small trees at once
+# ---------------------------------------------------------------------------
+
+def _relocated_rows(p: PSeq, x: np.ndarray):
+    """`relocate` applied to each row of x, with its outcome per row.
+
+    Returns (pos_order, xs_sorted, w_sorted, redraw, tie): `redraw` marks
+    the rows `sample_positions` redraws (a zero, a repeated position, or,
+    failing neither check nor the tie check, a collision after
+    relocation), and `tie` the rows on which relocate raises TieError.
+    Every operation is the single path's, taken along the rows, so each
+    kept row has the bits of its relocation.
+    """
+    m, n = x.shape
+    row = np.arange(m)
+    order = np.argsort(x, axis=1)
+    x_sorted = np.take_along_axis(x, order, axis=1)
+    early = ~(x.min(axis=1) > 0.0) | (x_sorted[:, 1:] == x_sorted[:, :-1]).any(axis=1)
+    cum = np.cumsum(p.probs[order], axis=1)
+    pre_min = np.concatenate([np.zeros((m, 1)), cum[:, :-1]], axis=1) - x_sorted
+    k = np.argmin(pre_min, axis=1)
+    tie = np.zeros(m, dtype=bool)
+    if n > 1:
+        lows = np.partition(pre_min, 1, axis=1)[:, :2]
+        tie = lows[:, 1] - lows[:, 0] <= TIE_TOL
+    v1 = order[row, k]
+    shifted = x - x[row, v1][:, None]
+    shifted += shifted < 0.0
+    shifted[row, v1] = 0.0
+    pos_order = np.take_along_axis(order, (np.arange(n) + k[:, None]) % n, axis=1)
+    xs_sorted = np.take_along_axis(shifted, pos_order, axis=1)
+    collide = (xs_sorted[:, 1:] == xs_sorted[:, :-1]).any(axis=1)
+    return pos_order, xs_sorted, p.probs[pos_order], early | (collide & ~tie), tie & ~early
+
+
+def _examination_rank_rows(xs_sorted: np.ndarray, w_sorted: np.ndarray):
+    """`_examination_ranks` of each row in n vectorised steps.
+
+    Each step examines, among the claimed and unexamined ranks, the lowest
+    rank in the run of the largest such rank, a run being the ranks one
+    step claimed: the single pass's stack holds exactly these runs, the
+    latest on top.  Returns the (m, n) ranks and a per-row flag for the
+    rows whose intervals missed a particle, which have no rank to examine
+    at some step before the n-th.
+    """
+    m, n = xs_sorted.shape
+    rows = np.arange(m)
+    rank = np.arange(n)
+    ranks = np.zeros((m, n), dtype=np.int64)
+    examined = np.zeros((m, n), dtype=bool)
+    run = np.full((m, n), -1)  # the step that claimed each rank
+    claimed = np.ones(m, dtype=np.int64)  # ranks below it are claimed
+    cursor = np.zeros(m)
+    stopped = np.zeros(m, dtype=bool)
+    a = np.zeros(m, dtype=np.int64)
+    for step in range(n):
+        if step:
+            open_ = (rank < claimed[:, None]) & ~examined
+            stopped |= ~open_.any(axis=1)
+            top = n - 1 - np.argmax(open_[:, ::-1], axis=1)
+            a = np.argmax(open_ & (run == run[rows, top][:, None]), axis=1)
+        ranks[:, step] = a
+        examined[rows, a] = True
+        cursor += w_sorted[rows, a]
+        k = np.maximum(claimed, (xs_sorted <= cursor[:, None]).sum(axis=1))
+        run[(rank >= claimed[:, None]) & (rank < k[:, None])] = step
+        claimed = k
+    return ranks, stopped
+
+
+def _parent_rows(p: PSeq, kind: str, samples: int, rng: RngState) -> np.ndarray:
+    """(samples, n) parent arrays of `samples` successive
+    `breadth_tree` or `depth_tree` (by `kind`) of `sample_positions(p, rng)`,
+    bit for bit, leaving rng where those calls would.
+
+    The rows still needed are drawn as one matrix: `gen.random((m, n))`
+    gives the bits of m successive `gen.random(n)` calls, so a redrawn row
+    is skipped and its redraw is the next row.  Rows are judged in order
+    with the single path's outcomes: a tie raises TieError, a depth row
+    whose intervals miss a particle DegenerateError, and 100 consecutive
+    redrawn rows DuplicatePositionError.  The claims compare each row's
+    sorted positions with all of its cumulative ends at once, so the cost
+    grows as n^2 per row: this serves the small trees of the law check.
+    """
+    n = p.n
+    out = [np.empty((0, n), dtype=np.int64)]
+    redraws = 0  # consecutive redrawn rows, carried across matrices
+    need = samples
+    while need:
+        pos_order, xs_sorted, w_sorted, redraw, tie = _relocated_rows(
+            p, rng.gen.random((need, n)))
+        if kind == "breadth":
+            visit = np.broadcast_to(np.arange(n), (need, n))
+            stopped = np.zeros(need, dtype=bool)
+        else:
+            visit, stopped = _examination_rank_rows(xs_sorted, w_sorted)
+        last = -1
+        for i in np.flatnonzero(redraw | tie | stopped).tolist():
+            if not redraw[i]:
+                if tie[i]:
+                    raise TieError("two left limits tie for the minimum")
+                raise DegenerateError("claim intervals missed a particle")
+            redraws = redraws + 1 if i == last + 1 else 1
+            last = i
+            if redraws == 100:
+                raise DuplicatePositionError("could not sample distinct positions")
+        if last != need - 1:
+            redraws = 0
+        keep = ~redraw
+        pos_order, xs_sorted, visit = pos_order[keep], xs_sorted[keep], visit[keep]
+        # cumsum adds along each row, left to right, as the single path's does
+        ends = np.cumsum(np.take_along_axis(w_sorted[keep], visit, axis=1), axis=1)
+        ends[:, -1] = 1.0
+        # rank r >= 1 is claimed by the first visit whose end reaches it
+        claimer = (ends[:, None, :] < xs_sorted[:, 1:, None]).sum(axis=2)
+        order = np.take_along_axis(pos_order, visit, axis=1)
+        parent = np.full(pos_order.shape, -1, dtype=np.int64)
+        np.put_along_axis(parent, pos_order[:, 1:], np.take_along_axis(order, claimer, axis=1),
+                          axis=1)
+        out.append(parent)
+        need -= parent.shape[0]
+    return np.concatenate(out)
+
+
+# ---------------------------------------------------------------------------
 # Exact identities between tree and walk
 # ---------------------------------------------------------------------------
 
@@ -571,23 +695,28 @@ def width_at_quantile(width: np.ndarray, cumulative: np.ndarray, u: float) -> fl
 # Repeat times and the coupling gap
 # ---------------------------------------------------------------------------
 
-def repeat_time_sample(p: PSeq, rng: RngState) -> tuple[int, float]:
-    """Draw from p until the first repeated vertex.
+def repeat_time_sample(p: PSeq, rng: RngState, count: int) -> np.ndarray:
+    """First-repeat indices of `count` successive runs of draws from p, each
+    drawing until a vertex repeats.
 
-    Returns (T, S): the index of the first repeat and the accumulated
-    heavy-zeroed weight of the distinct draws before it.
+    The draws come in blocks that never reach past the last run's repeat
+    (an unfinished run needs at least one more draw, a new one two), so
+    the indices and the final state of rng are those of drawing one
+    vertex at a time.
     """
-    tail = p.tail_probs
+    out = []
     seen = set()
-    total = 0.0
     t = 0
-    while True:
-        t += 1
-        xi = int(p.draw(rng))
-        if xi in seen:
-            return t, total
-        seen.add(xi)
-        total += tail[xi]
+    while len(out) < count:
+        for xi in p.draw(rng, 2 * (count - len(out)) - (t > 0)).tolist():
+            t += 1
+            if xi in seen:
+                out.append(t)
+                seen.clear()
+                t = 0
+            else:
+                seen.add(xi)
+    return np.array(out, dtype=np.int64)
 
 
 def exploration_gap(p: PSeq, rng: RngState) -> float:

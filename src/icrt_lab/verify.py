@@ -20,6 +20,7 @@ from .icrt import line_breaking_tree, sample_function_tree, spanning_subtree
 from .paths import sample_brownian_bridge, sup_distance, validate_theta
 from .ptree import (
     PSeq,
+    _parent_rows,
     approximating_pseq,
     breadth_tree,
     claim_margin,
@@ -152,16 +153,20 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 def _tree_law_reports(p: PSeq, kind: str, samples: int, rng: RngState) -> list[TestReport]:
+    """Chi-square of one reading's tree counts against the enumerated
+    probabilities.  A parent array read as base-(n+1) digits codes its
+    tree, so one table, as large as the enumeration, maps each sampled
+    row to its enumerated tree."""
     suite = f"tree-law/{kind}-n{p.n}"
-    trees = list(enumerate_parent_arrays(p.n))
-    index = {t: i for i, t in enumerate(trees)}
-    probs = np.array([ptree_probability(np.array(t), p) for t in trees])
-    counts = np.zeros(len(trees))
-    build = breadth_tree if kind == "breadth" else depth_tree
-    stream = _stream(rng, suite)
-    for _ in range(samples):
-        tr = build(sample_positions(p, stream))
-        counts[index[tr.parent_key()]] += 1
+    trees = np.array(list(enumerate_parent_arrays(p.n)))
+    probs = np.array([ptree_probability(t, p) for t in trees])
+    digits = (p.n + 1) ** np.arange(p.n)
+    cell_of = np.full((p.n + 1) ** p.n, -1)
+    cell_of[(trees + 1) @ digits] = np.arange(len(trees))
+    cell = cell_of[(_parent_rows(p, kind, samples, _stream(rng, suite)) + 1) @ digits]
+    if (cell < 0).any():
+        raise ValueError("a sampled parent array matches no enumerated tree")
+    counts = np.bincount(cell, minlength=len(trees)).astype(float)
     return [chi_square_gof(counts, probs, suite=suite)]
 
 
@@ -431,8 +436,7 @@ def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
     p = uniform_pseq(n)
 
     def reports(rng):
-        rng_a = _stream(rng, "repeat-time/first-repeat")
-        side_a = np.array([repeat_time_sample(p, rng_a)[0] - 2 for _ in range(replicates)])
+        side_a = repeat_time_sample(p, _stream(rng, "repeat-time/first-repeat"), replicates) - 2
         side_b = np.empty(replicates, dtype=np.int64)
         for k in range(replicates):
             stream = _stream(rng, "repeat-time/height", k)

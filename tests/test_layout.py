@@ -14,6 +14,9 @@ Every realisation of the particles is relocated once: `ptree.relocate` is
 called only by `sample_positions`, the excursion and both tree readings
 each take the one `Relocation`, and `ptree` calls neither `np.mod` nor
 `np.unique`.
+The tree-law check reads its trees as batched rows: `verify._tree_law_reports`
+calls none of `sample_positions`, `breadth_tree` and `depth_tree`, and it is
+the one caller of the batched builder, `ptree._parent_rows`.
 `verify` summarises every reduced tree in one function, `_summary`, and
 compares two reduced-tree laws in one function, `_reduced_law_reports`,
 which alone holds the one-leaf rule.
@@ -178,6 +181,18 @@ def test_reduced_laws_compared_in_one_place():
     assert owners == {"theta_reports", "spanning_reports"}
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "_as_built" not in defined | _referenced_names(tree)
+
+
+def test_tree_law_reads_batched_rows():
+    # the law check builds its thousands of small trees as rows of one
+    # draw matrix, never one tree per call
+    trees = {path.stem: _tree(path) for path in MODULES}
+    single = ("sample_positions", "breadth_tree", "depth_tree")
+    assert [name for owner, name, _ in _calls(trees["verify"], single)
+            if owner == "_tree_law_reports"] == []
+    owners = [(mod, owner) for mod, tree in trees.items()
+              for owner, _, _ in _calls(tree, ("_parent_rows",))]
+    assert owners == [("verify", "_tree_law_reports")]
 
 
 # Public names (`name` or `Class.method`) allowed to have no caller outside

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from icrt_lab import ptree
-from icrt_lab.errors import DuplicatePositionError, SignError, TieError
+from icrt_lab import ptree, verify
+from icrt_lab.errors import DegenerateError, DuplicatePositionError, SignError, TieError
 from icrt_lab.paths import CadlagPath, sup_distance
 from icrt_lab.ptree import (
     PSeq,
@@ -36,15 +36,21 @@ from conftest import assert_same_bits, union_grid_combination
 
 class FixedUniforms:
     """Stand-in for RngState whose generator returns the given draws of
-    uniforms, one draw per call."""
+    uniforms, one draw per call, or one per row of a (rows, n) size."""
 
     def __init__(self, *draws):
         self.gen = self
         self.draws = [np.asarray(u, dtype=float) for u in draws]
 
     def random(self, size=None):
+        if isinstance(size, tuple):
+            return np.array([self.random(size[1]) for _ in range(size[0])])
         u = self.draws.pop(0)
         return u[:size] if size is not None else float(u[0])
+
+
+def parent_key(tree):
+    return tuple(int(v) for v in tree.parent)
 
 
 def reference_breadth_tree(p, rel):
@@ -708,6 +714,159 @@ class TestExactChecksCanFail:
         assert outcomes == {True, False}
 
 
+READINGS = {"breadth": breadth_tree, "depth": depth_tree}
+
+
+def ranked_pseq(n):
+    w = np.arange(n, 0, -1, dtype=float)
+    return PSeq(w / w.sum())
+
+
+def tree_law_counts_oracle(p, kind, samples, rng):
+    """Tree counts in enumeration order from one tree per sample, as
+    verify._tree_law_reports counted them before it read batched rows.
+    Test-only oracle."""
+    index = {t: i for i, t in enumerate(enumerate_parent_arrays(p.n))}
+    counts = np.zeros(len(index))
+    stream = verify._stream(rng, f"tree-law/{kind}-n{p.n}")
+    for _ in range(samples):
+        counts[index[parent_key(READINGS[kind](sample_positions(p, stream)))]] += 1
+    return counts
+
+
+def rows_or_error(build, rng):
+    """build(rng), or the type and message of the sampling error it raised,
+    followed by the next uniform of rng."""
+    try:
+        out = build(rng)
+    except (DegenerateError, DuplicatePositionError, TieError) as e:
+        return (type(e), str(e)), None
+    return out, rng.gen.random()
+
+
+def assert_rows_match_single_path(p, kind, samples, make_rng):
+    # the batched rows equal one tree per call on the same stream, or both
+    # raise the same error; both leave the stream at the same state
+    build = READINGS[kind]
+    got, got_next = rows_or_error(lambda rng: ptree._parent_rows(p, kind, samples, rng),
+                                  make_rng())
+    want, want_next = rows_or_error(
+        lambda rng: np.array([build(sample_positions(p, rng)).parent
+                              for _ in range(samples)], dtype=np.int64).reshape(samples, p.n),
+        make_rng())
+    assert got_next == want_next
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    return got
+
+
+# Draws of three uniforms for p = (0.5, 0.3, 0.2): two that relocate and
+# three that sample_positions redraws.
+P3 = PSeq(np.array([0.5, 0.3, 0.2]))
+GOOD3 = ([0.05, 0.5, 0.7], [0.2, 0.95, 0.4])
+REDRAWN3 = {"zero": [0.0, 0.5, 0.7], "repeat": [0.3, 0.7, 0.3],
+            "collide": [0.75, 0.125, 0.125 + 2 ** -55]}
+TIE2 = (PSeq(np.array([0.6, 0.4])), [0.5, 0.1])  # both left limits -0.1
+LAST = [0.9, 0.9, 0.9]  # read only by the check of the final stream state
+
+
+class TestParentRows:
+    # ptree._parent_rows against one tree per sample_positions call
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 50])
+    def test_rows_match_single_path(self, n):
+        vectors = [uniform_pseq(n), ranked_pseq(n)]
+        if n >= 50:  # at n < 20 the heavy entries would fall below the light ones
+            vectors.append(approximating_pseq(REFERENCE_THETA, n))
+        samples = 40 if n >= 50 else 200
+        for p in vectors:
+            for kind in READINGS:
+                for seed in range(3):
+                    assert_rows_match_single_path(
+                        p, kind, samples, lambda: RngState(36).child(n, seed))
+
+    def test_no_samples(self):
+        for kind in READINGS:
+            rows = assert_rows_match_single_path(P3, kind, 0, lambda: FixedUniforms(LAST))
+            assert rows.shape == (0, 3)
+
+    @pytest.mark.parametrize("kind", list(READINGS))
+    @pytest.mark.parametrize("bad", list(REDRAWN3))
+    def test_redrawn_rows_are_skipped(self, bad, kind):
+        draws = (GOOD3[0], REDRAWN3[bad], GOOD3[1], LAST)
+        rows = assert_rows_match_single_path(P3, kind, 2, lambda: FixedUniforms(*draws))
+        assert rows.shape == (2, 3)
+
+    @pytest.mark.parametrize("kind", list(READINGS))
+    def test_tie_raises_where_the_single_path_does(self, kind):
+        p, tie = TIE2
+        good, zero = [0.3, 0.8], [0.0, 0.8]
+        for draws, samples in [((tie,), 1), ((zero, tie), 1), ((good, tie), 2),
+                               ((good, zero, tie), 2)]:
+            got = assert_rows_match_single_path(p, kind, samples,
+                                                lambda: FixedUniforms(*draws, LAST))
+            assert got[0] is TieError
+        # a tie after the last sample is never read
+        rows = assert_rows_match_single_path(p, kind, 1,
+                                             lambda: FixedUniforms(good, tie, LAST))
+        assert rows.shape == (1, 2)
+
+    @pytest.mark.parametrize("kind", list(READINGS))
+    def test_hundred_redraws_raise(self, kind):
+        # redrawn rows run on across the matrices drawn for the later samples
+        bad = [REDRAWN3[name] for name in REDRAWN3]
+        bad = [bad[i % 3] for i in range(100)]
+        tie = [0.1, 0.6, 0.9]  # all three left limits -0.1
+        cases = [((GOOD3[0], *bad, tie), 2, DuplicatePositionError),
+                 ((*bad[:50], GOOD3[0], *bad[:99], GOOD3[1]), 2, None),
+                 ((bad[0], GOOD3[0], *bad[:99], GOOD3[1]), 2, None),
+                 ((*bad[:99], tie), 1, TieError)]
+        for draws, samples, error in cases:
+            got = assert_rows_match_single_path(P3, kind, samples,
+                                                lambda: FixedUniforms(*draws, LAST))
+            if error is None:
+                assert got.shape == (2, 3)
+            else:
+                assert got[0] is error
+        assert got[1] == "two left limits tie for the minimum"
+
+    def test_degenerate_depth_row_raises(self, monkeypatch):
+        # no relocated draw misses a particle: a hand row whose first
+        # interval (0, 0.2] claims nothing stands in for one
+        rel = ptree.Relocation(0, np.array([0.0, 0.5, 0.9]), np.arange(3),
+                               np.array([0.0, 0.5, 0.9]), np.array([0.2, 0.3, 0.5]))
+        with pytest.raises(DegenerateError):
+            depth_tree(rel)
+        ranks, stopped = ptree._examination_rank_rows(rel.xs_sorted[None], rel.w_sorted[None])
+        assert stopped.tolist() == [True] and ranks[0, 0] == 0
+        no = np.zeros(1, dtype=bool)
+        monkeypatch.setattr(ptree, "_relocated_rows", lambda p, x: (
+            rel.pos_order[None], rel.xs_sorted[None], rel.w_sorted[None], no, no))
+        with pytest.raises(DegenerateError, match="missed a particle"):
+            ptree._parent_rows(P3, "depth", 1, RngState(0))
+        assert ptree._parent_rows(P3, "breadth", 1, RngState(0)).tolist() == [
+            breadth_tree(rel).parent.tolist()]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_counts_match_per_sample_loop(self, seed, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "chi_square_gof",
+                            lambda counts, probs, suite: seen.append(counts))
+        for p in (uniform_pseq(3), PSeq(np.array([0.4, 0.3, 0.2, 0.1]))):
+            for kind in READINGS:
+                verify._tree_law_reports(p, kind, 2000, RngState(seed).child(0))
+                want = tree_law_counts_oracle(p, kind, 2000, RngState(seed).child(0))
+                assert seen.pop().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("row", [[1, 0, -1], [-1, -1, -1], [2, 2, 2], [-1, 0, 2]])
+    def test_unknown_tree_raises(self, row, monkeypatch):
+        monkeypatch.setattr(verify, "_parent_rows", lambda p, kind, samples, rng: np.array(
+            [[-1, 0, 0]] * (samples - 1) + [row]))
+        with pytest.raises(ValueError, match="matches no enumerated tree"):
+            verify._tree_law_reports(uniform_pseq(3), "breadth", 100, RngState(0))
+
+
 class TestTreeLawSmoke:
     def test_breadth_law_small(self):
         p = uniform_pseq(3)
@@ -718,7 +877,7 @@ class TestTreeLawSmoke:
         rng = RngState(101)
         for _ in range(20_000):
             tr = breadth_tree(sample_positions(p, rng))
-            counts[index[tr.parent_key()]] += 1
+            counts[index[parent_key(tr)]] += 1
         rep = chi_square_gof(counts, probs)
         assert rep.p_value > 0.001
 
@@ -731,7 +890,7 @@ class TestTreeLawSmoke:
         rng = RngState(102)
         for _ in range(20_000):
             tr = depth_tree(sample_positions(p, rng))
-            counts[index[tr.parent_key()]] += 1
+            counts[index[parent_key(tr)]] += 1
         rep = chi_square_gof(counts, probs)
         assert rep.p_value > 0.001
 
@@ -745,8 +904,8 @@ class TestTreeLawSmoke:
         cd = np.zeros(9)
         rng1, rng2 = RngState(103), RngState(104)
         for _ in range(reps):
-            cb[index[breadth_tree(sample_positions(p, rng1)).parent_key()]] += 1
-            cd[index[depth_tree(sample_positions(p, rng2)).parent_key()]] += 1
+            cb[index[parent_key(breadth_tree(sample_positions(p, rng1)))]] += 1
+            cd[index[parent_key(depth_tree(sample_positions(p, rng2)))]] += 1
         tv = 0.5 * np.abs(cb / reps - cd / reps).sum()
         assert tv < 0.02
 
@@ -764,17 +923,49 @@ def repeat_time_mean_uniform(n: int) -> float:
     return total
 
 
+def repeat_time_oracle(p, rng):
+    """Draw from p one vertex at a time until the first repeated vertex.
+    Returns (T, S): the index of the first repeat and the heavy-zeroed
+    weight of the distinct draws before it.  Test-only oracle for
+    ptree.repeat_time_sample, which returns T only."""
+    tail = p.tail_probs
+    seen = set()
+    total = 0.0
+    t = 0
+    while True:
+        t += 1
+        xi = int(p.draw(rng))
+        if xi in seen:
+            return t, total
+        seen.add(xi)
+        total += tail[xi]
+
+
 class TestRepeatTime:
     def test_single_vertex(self):
-        t, s = repeat_time_sample(uniform_pseq(1), RngState(0))
+        t, s = repeat_time_oracle(uniform_pseq(1), RngState(0))
         assert t == 2 and s == 1.0
+        assert repeat_time_sample(uniform_pseq(1), RngState(0), 3).tolist() == [2, 2, 2]
+
+    @pytest.mark.parametrize("p", [uniform_pseq(1), uniform_pseq(5), uniform_pseq(50),
+                                   approximating_pseq(REFERENCE_THETA, 200)],
+                             ids=["n1", "n5", "n50", "reference-n200"])
+    def test_blocks_match_one_draw_at_a_time(self, p):
+        # bitwise the same indices, and the stream left at the same state
+        for seed in range(3):
+            blocks, single = RngState(seed), RngState(seed)
+            times = repeat_time_sample(p, blocks, 500)
+            assert times.dtype == np.int64
+            assert times.tolist() == [repeat_time_oracle(p, single)[0] for _ in range(500)]
+            assert blocks.gen.random() == single.gen.random()
+        assert repeat_time_sample(p, RngState(0), 0).size == 0
 
     def test_mean_against_exact(self):
         n = 20
         p = uniform_pseq(n)
         rng = RngState(105)
         reps = 20_000
-        ts = np.array([repeat_time_sample(p, rng)[0] for _ in range(reps)])
+        ts = repeat_time_sample(p, rng, reps)
         exact = repeat_time_mean_uniform(n)
         se = ts.std(ddof=1) / np.sqrt(reps)
         assert abs(ts.mean() - exact) < 3 * se
@@ -784,7 +975,7 @@ class TestRepeatTime:
         p = uniform_pseq(n)
         rng = RngState(106)
         reps = 5000
-        side_a = np.array([repeat_time_sample(p, rng)[0] - 2 for _ in range(reps)])
+        side_a = repeat_time_sample(p, rng, reps) - 2
         side_b = np.empty(reps)
         for k in range(reps):
             r2 = RngState(107).child(k)
