@@ -12,6 +12,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from inspect import signature
 
 from . import errors as err
 from .icrt import line_breaking_tree
@@ -140,6 +141,12 @@ def cmd_verify(args) -> int:
     if args.suite == "jeulin" and args.samples == 1:
         return _usage_error("--samples must be >= 2 for jeulin: the height-mean check "
                             "needs a sample variance")
+    if args.suite == "theorem2" and args.J is not None:
+        n = args.n if args.n is not None else signature(SUITES["theorem2"]).parameters["n"].default
+        non_root = approximating_pseq(REFERENCE_THETA, n).n - 1
+        if args.J > non_root:
+            return _usage_error(f"--J {args.J} is too large for theorem2: the vector at "
+                                f"--n {n} has {non_root} non-root vertices to draw")
     kwargs = {"seed": args.seed}
     opt = {
         "identities": {"n": args.n, "reps": args.samples},

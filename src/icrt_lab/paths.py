@@ -239,11 +239,13 @@ def subtract_on_windows(x: CadlagPath, comps, windows) -> CadlagPath:
 
 def sup_distance(a: CadlagPath, b: CadlagPath) -> float:
     """Uniform distance between two paths (exact: both are piecewise linear
-    between the union of their breakpoints)."""
-    t = np.unique(np.concatenate([a.times, b.times]))
-    dl = np.abs(a.left_limit(t) - b.left_limit(t)).max()
-    dr = np.abs(a.value(t) - b.value(t)).max()
-    return float(max(dl, dr))
+    between the union of their breakpoints).  Each path is read at the
+    other's breakpoints only: at its own breakpoints its left limits and
+    values are its stored left and right values."""
+    return float(max(np.abs(a.left - b.left_limit(a.times)).max(),
+                     np.abs(a.right - b.value(a.times)).max(),
+                     np.abs(a.left_limit(b.times) - b.left).max(),
+                     np.abs(a.value(b.times) - b.right).max()))
 
 
 def cyclic_shift(path: CadlagPath, pivot: float, base: float) -> CadlagPath:

@@ -14,7 +14,6 @@ generation-weight, width, and exploration-height relations.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,14 @@ from .paths import CadlagPath, Theta, subtract_on_windows, sup_distance
 from .rng import RngState
 
 TIE_TOL = 1e-12
+
+# Heights come from pointer doubling from this many vertices on, from the
+# visit-order loop below it.  Minimum of 7 timings per tree, both readings,
+# uniform and reference p (2-vCPU x86-64, Python 3.11, numpy 2.4): the loop
+# took 6-10 us at n = 50 against 22-37 us, about as long at n = 300 (28 us),
+# and 110-116 us at n = 1000 against 47-53 us; at n = 10^5 it took 36-41 ms
+# against 4.5-4.7 ms.
+DOUBLING_MIN_N = 300
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +147,10 @@ class RootedTree:
     @property
     def heights(self) -> np.ndarray:
         if self._heights is None:
-            self._heights = _path_accumulate(self, np.ones(self.n, dtype=np.int64))
+            if self.n < DOUBLING_MIN_N:
+                self._heights = _path_accumulate(self, np.ones(self.n, dtype=np.int64))
+            else:
+                self._heights = _doubled_heights(self.parent, self.root)
         return self._heights
 
     def validate(self) -> None:
@@ -338,8 +348,14 @@ def _examination_ranks(xs_sorted: np.ndarray, w_sorted: np.ndarray) -> np.ndarra
     intervals miss a particle.  Every particle is claimed before it is
     examined, so the last vertex examined claims nothing and the cursor
     needs no clamp to 1 here.
+
+    The cursor only moves right, so each step scans forward from the first
+    unclaimed rank j to the first position past the cursor; an inf sentinel
+    ends the scan at n.  Most steps claim zero, one or two particles, so
+    the scan is the binary search's result in fewer operations.
     """
     xl = xs_sorted.tolist()
+    xl.append(float("inf"))
     wl = w_sorted.tolist()
     ranks = []
     stack = []  # (next rank, end) runs of claimed, unexamined children
@@ -347,7 +363,9 @@ def _examination_ranks(xs_sorted: np.ndarray, w_sorted: np.ndarray) -> np.ndarra
     while True:
         ranks.append(a)
         cursor += wl[a]
-        k = bisect_right(xl, cursor, j)
+        k = j
+        while xl[k] <= cursor:
+            k += 1
         if k > j:
             a = j
             if k > j + 1:
@@ -522,6 +540,23 @@ def _path_accumulate(tree: RootedTree, per_vertex: np.ndarray) -> np.ndarray:
     for v in tree.order[1:].tolist():
         acc[v] = acc[par[v]] + pv[v]
     return np.asarray(acc, dtype=per_vertex.dtype)
+
+
+def _doubled_heights(parent: np.ndarray, root: int) -> np.ndarray:
+    """Heights by pointer doubling: d[v] counts the edges from v up to
+    anc[v], and each round adds d[anc] to d and replaces anc by anc[anc],
+    until every anc is the root.  Heights are integers, so the sums are exact and equal
+    the loop's, whatever the order of addition."""
+    d = np.ones(parent.size, dtype=np.int64)
+    d[root] = 0
+    anc = parent.copy()
+    anc[root] = root
+    while True:
+        d += d[anc]
+        nxt = anc[anc]
+        if (nxt == anc).all():
+            return d
+        anc = nxt
 
 
 def _pending_mass(tree: RootedTree, w: np.ndarray) -> np.ndarray:

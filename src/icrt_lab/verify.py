@@ -275,6 +275,10 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
     matches the excursion marginal (trees at n = 10^4, excursions at grid
     2^12)."""
     p = approximating_pseq(REFERENCE_THETA, n)
+    if leaves > p.n - 1:
+        # every draw would repeat a vertex or hit the root, and be redrawn
+        raise ValueError(f"{leaves} leaves need as many distinct non-root vertices; "
+                         f"the vector at n = {n} has {p.n - 1}")
 
     def spanning_reports(rng):
         sp, rejects = _spanning_summaries(p, leaves, replicates, rng)

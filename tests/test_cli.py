@@ -156,6 +156,8 @@ REFERENCE = "0.862,0.345,0.302,0.216"
                  "--n 3 is too small for theta", id="sample-width-n"),
     pytest.param(["verify", "theorem2", "--n", "3", "--samples", "5"],
                  "--n 3 is too small for theta", id="verify-theorem2-n"),
+    pytest.param(["verify", "theorem2", "--n", "50", "--samples", "3", "--J", "60"],
+                 "--J 60 is too large for theorem2", id="verify-theorem2-J-above-n"),
     pytest.param(["verify", "identities", "--n", "3", "--samples", "5"],
                  "--n 3 is too small for theta", id="verify-identities-n"),
     pytest.param(["verify", "btree-law", "--samples", "10"], "--samples 10 is too small",

@@ -329,6 +329,66 @@ class TestCadlagPath:
         assert sorted(s_x) == sorted(s_y)
 
 
+def union_grid_sup_distance(a, b):
+    """Both paths read at every breakpoint of either, on the union grid.
+    Test-only oracle for paths.sup_distance."""
+    t = np.unique(np.concatenate([a.times, b.times]))
+    dl = np.abs(a.left_limit(t) - b.left_limit(t)).max()
+    dr = np.abs(a.value(t) - b.value(t)).max()
+    return float(max(dl, dr))
+
+
+def random_path(gen, pool):
+    """Path on a random sub-domain of [0, 1) whose breakpoints come partly
+    from a pool shared with other paths, with a jump at about half of them."""
+    k = int(gen.integers(2, 25))
+    own = gen.random(k)
+    shared = gen.choice(pool, size=int(gen.integers(0, k + 1)))
+    times = np.unique(np.concatenate([own, shared]))
+    left = gen.normal(size=times.size)
+    right = np.where(gen.random(times.size) < 0.5, left, gen.normal(size=times.size))
+    return CadlagPath(times, left, right)
+
+
+class TestSupDistance:
+    def test_matches_union_grid_bitwise(self):
+        gen = np.random.default_rng(2024)
+        for _ in range(1500):
+            pool = gen.random(int(gen.integers(1, 8)))
+            a, b = random_path(gen, pool), random_path(gen, pool)
+            assert sup_distance(a, b) == union_grid_sup_distance(a, b)
+            assert sup_distance(b, a) == union_grid_sup_distance(a, b)
+
+    def test_hand_pairs(self):
+        x = CadlagPath(np.array([0.0, 0.5, 1.0]),
+                       np.array([0.0, 0.2, 0.6]),
+                       np.array([0.0, 0.5, 0.6]))
+        # the same breakpoints, one jump moved to the other side
+        y = CadlagPath(x.times, np.array([0.0, 0.5, 0.6]), np.array([0.0, 0.2, 0.6]))
+        # a shorter domain inside x's, and one reaching past it
+        inner = CadlagPath(np.array([0.25, 0.5, 0.75]), np.array([0.1, 0.2, 0.3]),
+                           np.array([0.1, 0.5, 0.3]))
+        outer = CadlagPath(np.array([0.5, 2.0]), np.array([0.4, 0.0]), np.array([0.5, 0.0]))
+        for a, b in ((x, x), (x, y), (x, inner), (x, outer), (inner, outer)):
+            assert sup_distance(a, b) == union_grid_sup_distance(a, b)
+        assert sup_distance(x, x) == 0.0
+        assert sup_distance(x, y) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
+    def test_exploration_gap_paths(self, n, monkeypatch):
+        # the height and corrected-excursion paths exploration_gap compares
+        from icrt_lab import ptree
+
+        pairs = []
+        monkeypatch.setattr(ptree, "sup_distance", lambda a, b: pairs.append((a, b)) or 0.0)
+        for p in (ptree.uniform_pseq(n), ptree.approximating_pseq(REFERENCE_THETA, n)):
+            for k in range(2):
+                ptree.exploration_gap(p, RngState(7).child(k))
+        assert len(pairs) == 4
+        for a, b in pairs:
+            assert sup_distance(a, b) == union_grid_sup_distance(a, b)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_vervaat_min_is_zero_property(seed):

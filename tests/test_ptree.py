@@ -577,6 +577,104 @@ class TestCorrectedExcursionOracle:
                              reference_corrected_excursion(t, exc, p))
 
 
+def bisect_examination_ranks(xs_sorted, w_sorted):
+    """The examination pass with one binary search per step for the first
+    position past the cursor.  Test-only oracle for ptree._examination_ranks."""
+    from bisect import bisect_right
+
+    xl = xs_sorted.tolist()
+    wl = w_sorted.tolist()
+    ranks = []
+    stack = []
+    a, j, cursor = 0, 1, 0.0
+    while True:
+        ranks.append(a)
+        cursor += wl[a]
+        k = bisect_right(xl, cursor, j)
+        if k > j:
+            a = j
+            if k > j + 1:
+                stack.append((j + 1, k))
+            j = k
+        elif stack:
+            a, k = stack.pop()
+            if a + 1 < k:
+                stack.append((a + 1, k))
+        else:
+            break
+    return np.array(ranks)
+
+
+class TestExaminationScan:
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000, 100_000])
+    def test_matches_binary_search(self, n):
+        vectors = [uniform_pseq(n)]
+        if n >= 50:
+            vectors.append(approximating_pseq(REFERENCE_THETA, n))
+        for p in vectors:
+            for k in range(2 if n == 100_000 else 10):
+                rel = sample_positions(p, RngState(37).child(k))
+                got = ptree._examination_ranks(rel.xs_sorted, rel.w_sorted)
+                want = bisect_examination_ranks(rel.xs_sorted, rel.w_sorted)
+                assert got.tobytes() == want.tobytes()
+                assert got.size == p.n
+
+    def test_position_at_the_cursor_is_claimed(self):
+        # dyadic: each interval ends exactly at the next position, which it
+        # claims, so the tree is the path 0-1-2-3
+        xs = np.array([0.0, 0.25, 0.5, 0.75])
+        for ranks in (ptree._examination_ranks, bisect_examination_ranks):
+            assert ranks(xs, np.full(4, 0.25)).tolist() == [0, 1, 2, 3]
+
+    def test_missed_particle_stops_both(self):
+        # the root's interval (0, 0.2] claims nothing, so the pass stops
+        # after the root, with 1 of 3 ranks
+        rel = ptree.Relocation(0, np.array([0.0, 0.5, 0.9]), np.arange(3),
+                               np.array([0.0, 0.5, 0.9]), np.array([0.2, 0.3, 0.5]))
+        for ranks in (ptree._examination_ranks, bisect_examination_ranks):
+            assert ranks(rel.xs_sorted, rel.w_sorted).tolist() == [0]
+        with pytest.raises(DegenerateError, match="missed a particle"):
+            depth_tree(rel)
+
+
+class TestHeights:
+    @pytest.mark.parametrize("n", [2, 50, ptree.DOUBLING_MIN_N - 1, ptree.DOUBLING_MIN_N,
+                                   1000, 100_000])
+    def test_doubling_matches_loop(self, n):
+        vectors = [uniform_pseq(n)]
+        if n >= 50:
+            vectors.append(approximating_pseq(REFERENCE_THETA, n))
+        for p in vectors:
+            for k in range(2):
+                rel = sample_positions(p, RngState(43).child(k))
+                for build in (breadth_tree, depth_tree):
+                    t = build(rel)
+                    loop = ptree._path_accumulate(t, np.ones(t.n, dtype=np.int64))
+                    doubled = ptree._doubled_heights(t.parent, t.root)
+                    assert doubled.dtype == loop.dtype
+                    assert doubled.tobytes() == loop.tobytes()
+                    assert t.heights.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("build", [breadth_tree, depth_tree])
+    def test_chain(self, build):
+        # each interval of length 1/n claims only the next particle, which
+        # sits a quarter of 1/n below its end: in both readings the tree is
+        # a path of height n - 1, so doubling runs 11 rounds
+        n = 2000
+        xs = np.concatenate([[0.0], (np.arange(1, n) - 0.25) / n])
+        labels = np.random.default_rng(5).permutation(n)
+        positions = np.empty(n)
+        positions[labels] = xs
+        rel = ptree.Relocation(int(labels[0]), positions, labels, xs, np.full(n, 1.0 / n))
+        t = build(rel)
+        assert t.parent[labels[1:]].tolist() == labels[:-1].tolist()
+        want = np.empty(n, dtype=np.int64)
+        want[labels] = np.arange(n)
+        assert n >= ptree.DOUBLING_MIN_N
+        assert t.heights.tobytes() == want.tobytes()
+        assert ptree._path_accumulate(t, np.ones(n, dtype=np.int64)).tobytes() == want.tobytes()
+
+
 class TestSingleVertex:
     def test_trees(self):
         rel = relocate(uniform_pseq(1), [0.4])

@@ -210,3 +210,13 @@ class TestRunChecks:
                                            marginal_reps=2)
         names = [r.suite for r in reports if not r.extra.get("retried", False)]
         assert names == [f"theorem2/spanning-{s}" for s in stats] + ["theorem2/width-marginal"]
+
+    def test_theorem2_rejects_more_leaves_than_non_root_vertices(self, monkeypatch):
+        # the vector at n = 50 has 53 entries, so 52 non-root vertices; 53
+        # leaves could never be drawn distinct, and the redraws would not end
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting the leaf count")
+
+        monkeypatch.setattr(verify, "_spanning_summaries", no_sampling)
+        with pytest.raises(ValueError, match="53 leaves"):
+            verify.suite_theorem2(n=50, replicates=3, leaves=53, marginal_reps=2)
