@@ -20,7 +20,11 @@ from .paths import DEFAULT_GRID, Theta, sample_brownian_bridge, validate_theta
 from .ptree import PSeq, approximating_pseq, breadth_tree, depth_tree, sample_positions, uniform_pseq, width_profile
 from .reflect import reflected_excursion, sample_excursion
 from .rng import RngState
-from .verify import REFERENCE_THETA, SUITES
+from .stats import ALPHA, ks_p_value
+from .verify import REFERENCE_THETA, SUITES, check_spanning_leaves
+
+# Suites whose verdicts are two-sample KS tests of `--samples` per side.
+KS_SUITES = ("theorem1", "theorem2", "jeulin", "repeat-time")
 
 
 @dataclass
@@ -143,10 +147,16 @@ def cmd_verify(args) -> int:
                             "needs a sample variance")
     if args.suite == "theorem2" and args.J is not None:
         n = args.n if args.n is not None else signature(SUITES["theorem2"]).parameters["n"].default
-        non_root = approximating_pseq(REFERENCE_THETA, n).n - 1
-        if args.J > non_root:
-            return _usage_error(f"--J {args.J} is too large for theorem2: the vector at "
-                                f"--n {n} has {non_root} non-root vertices to draw")
+        try:
+            check_spanning_leaves(approximating_pseq(REFERENCE_THETA, n), args.J)
+        except ValueError as e:
+            return _usage_error(f"--J {args.J} is too large for theorem2 at --n {n}: {e}")
+    if args.suite in KS_SUITES and args.samples is not None:
+        # below this size not even D = 1, the samples wholly apart, can fail
+        p = ks_p_value(1.0, args.samples, args.samples)
+        if p > ALPHA:
+            return _usage_error(f"--samples {args.samples} is too small for {args.suite}: "
+                                f"its KS test cannot fail, as D = 1 has p = {p:.2g} > {ALPHA}")
     kwargs = {"seed": args.seed}
     opt = {
         "identities": {"n": args.n, "reps": args.samples},

@@ -8,7 +8,8 @@ the root and J leaves.  A reduced tree listed depth-first is fixed by its
 leaf depths and the branch depth between consecutive leaves; one builder
 reads it so, fed by the function sampler (path values and interval infima
 at given times) and by the spanning reduction of a discrete tree (ancestor
-chain lengths and common-prefix lengths).
+chain lengths and common-prefix lengths, read from the relocated particles
+without building the tree).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateError, DuplicateSampleError
 from .paths import CadlagPath, Theta
-from .ptree import PSeq, RootedTree
+from .ptree import PSeq, Relocation, breadth_chains
 from .rng import RngState
 
 MERGE_TOL = 1e-12
@@ -263,34 +264,32 @@ def sample_function_tree(h: CadlagPath, sample_times,
 # Spanning reduction of a discrete tree
 # ---------------------------------------------------------------------------
 
-def spanning_subtree(tree: RootedTree, p: PSeq, leaves: int, rng: RngState) -> EdgeTree:
-    """Reduced spanning tree on the root and `leaves` vertices drawn from p.
+def spanning_subtree(rel: Relocation, p: PSeq, leaves: int, rng: RngState) -> EdgeTree:
+    """Reduced spanning tree of `breadth_tree(rel)` on the root and `leaves`
+    vertices drawn from p, read from the drawn vertices' ancestor chains.
 
     Unit-length edges are contracted through unmarked degree-2 vertices,
     leaving integer edge lengths.  Raises DuplicateSampleError on a
     repeated draw and DegenerateError when the root itself is drawn.
     """
-    return _spanning_reduction(tree, [int(v) for v in p.draw(rng, size=leaves)])
+    return _spanning_reduction(breadth_chains(rel, [int(v) for v in p.draw(rng, size=leaves)]))
 
 
-def _spanning_reduction(tree: RootedTree, vertices) -> EdgeTree:
-    """Reduced spanning tree on the root and the given vertices.
+def _spanning_reduction(chains) -> EdgeTree:
+    """Reduced spanning tree on the root and the last vertices of the given
+    root-first ancestor chains, labelled 1, 2, ... in the given order.
 
-    Root-first ancestor chains in lexicographic order list the vertices
-    depth-first, ancestors first; a vertex's depth is its chain length - 1
-    and two vertices branch at their common prefix length - 1.
+    Raises DuplicateSampleError when two chains end at one vertex and
+    DegenerateError when a chain is the root alone.  The chains in
+    lexicographic order list the vertices depth-first, ancestors first; a
+    vertex's depth is its chain length - 1 and two vertices branch at
+    their common prefix length - 1.
     """
+    vertices = [c[-1] for c in chains]
     if len(set(vertices)) != len(vertices):
         raise DuplicateSampleError("two sampled vertices coincide")
-    if tree.root in vertices:
+    if any(len(c) == 1 for c in chains):
         raise DegenerateError("sampled the root")
-    parent = tree.parent
-    chains = []
-    for v in vertices:
-        chain = [v]
-        while parent[chain[-1]] != -1:
-            chain.append(int(parent[chain[-1]]))
-        chains.append(chain[::-1])
     order = sorted(range(len(chains)), key=chains.__getitem__)
     walk = [chains[i] for i in order]
     branch = []

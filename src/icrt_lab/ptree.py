@@ -7,7 +7,10 @@ Each realisation is relocated once, at the minimizing particle, into a
 `Relocation`; the walk's excursion and both the breadth-first and the
 depth-first readings are views of it.  Many small trees at once, as the
 law check needs, come from `_parent_rows`: the same parent arrays, bit for
-bit, from one draw matrix read row by row.  The exact structural
+bit, from one draw matrix read row by row.  Where only a few drawn
+vertices matter, their ancestor chains in the breadth reading are read
+from the relocation without the tree (`breadth_chains`, and
+`_drawn_height_rows` for many rows at once).  The exact structural
 identities tying the tree to the walk are implemented too: pending-mass,
 generation-weight, width, and exploration-height relations.
 """
@@ -205,12 +208,13 @@ def relocate(p: PSeq, x) -> Relocation:
     x_sorted = x[order]
     if (x_sorted[1:] == x_sorted[:-1]).any():
         raise DuplicatePositionError("particle positions must be distinct")
-    cum_before = np.concatenate([[0.0], np.cumsum(p.probs[order])[:-1]])
+    w = p.probs[order]
+    cum_before = np.concatenate([[0.0], np.cumsum(w)[:-1]])
     pre_min = cum_before - x_sorted  # left limits at each particle
     k = int(np.argmin(pre_min))
     if x.size > 1:
-        lows = np.partition(pre_min, 1)[:2]
-        if lows[1] - lows[0] <= TIE_TOL:
+        second = min(pre_min[:k].min(initial=np.inf), pre_min[k + 1:].min(initial=np.inf))
+        if second - pre_min[k] <= TIE_TOL:
             raise TieError("two left limits tie for the minimum")
     v1 = int(order[k])
     # 1.0 added where negative, the same bits as np.mod(x - x[v1], 1.0) for
@@ -219,13 +223,18 @@ def relocate(p: PSeq, x) -> Relocation:
     shifted += shifted < 0.0
     shifted[v1] = 0.0
     pos_order = np.concatenate([order[k:], order[:k]])
-    # The rotated order is sorted up to ties: the subtraction and the
-    # wrap-around add round monotonically, and a wrapped value is at least
-    # 1 - x[v1], which no unwrapped value exceeds.
-    xs_sorted = shifted[pos_order]
+    # The same rotation of the sorted positions and weights gives them in
+    # position order, with the same operations on each position as above:
+    # the positions before x[v1] are exactly the negative differences.
+    # They stay sorted up to ties: the subtraction and the wrap-around add
+    # round monotonically, and a wrapped value is at least 1 - x[v1], which
+    # no unwrapped value exceeds.
+    behind = x_sorted[:k] - x[v1]
+    behind += 1.0
+    xs_sorted = np.concatenate([x_sorted[k:] - x[v1], behind])
     if (xs_sorted[1:] == xs_sorted[:-1]).any():
         raise DuplicatePositionError("positions collide after relocation")
-    return Relocation(v1, shifted, pos_order, xs_sorted, p.probs[pos_order])
+    return Relocation(v1, shifted, pos_order, xs_sorted, np.concatenate([w[k:], w[:k]]))
 
 
 def sample_positions(p: PSeq, rng: RngState) -> Relocation:
@@ -338,6 +347,40 @@ def breadth_tree(rel: Relocation) -> RootedTree:
     whose relocated positions fall in its cumulative-weight interval, the
     next run of the position order, as in the depth reading."""
     return _claim_tree(rel, "breadth")
+
+
+def _breadth_ends(w_sorted: np.ndarray) -> np.ndarray:
+    """Cumulative weights in position order, along the last axis, with the
+    last set to 1: the claim ends of the breadth reading."""
+    ends = np.cumsum(w_sorted, axis=-1)
+    ends[..., -1] = 1.0
+    return ends
+
+
+def breadth_chains(rel: Relocation, vertices) -> list[list[int]]:
+    """Root-first ancestor chains of `vertices` in `breadth_tree(rel)`,
+    read without building the tree.
+
+    The breadth reading visits in position order, so the parent of
+    position rank r >= 1 is the first rank whose claim end reaches
+    xs_sorted[r]: each step of a chain is one binary search.  A chain that
+    has not reached the root after n steps, which only a rounding error
+    within TIE_TOL of a tie could cause, raises DegenerateError.
+    """
+    ends = _breadth_ends(rel.w_sorted)
+    xs_sorted = rel.xs_sorted
+    chains = []
+    for rank in np.searchsorted(xs_sorted, rel.positions[vertices]).tolist():
+        ranks = [rank]
+        for _ in range(rel.n):
+            if not rank:
+                break
+            rank = int(ends.searchsorted(xs_sorted[rank], side="left"))
+            ranks.append(rank)
+        else:
+            raise DegenerateError("an ancestor chain does not reach the root")
+        chains.append(rel.pos_order[ranks[::-1]].tolist())
+    return chains
 
 
 def _examination_ranks(xs_sorted: np.ndarray, w_sorted: np.ndarray) -> np.ndarray:
@@ -518,6 +561,32 @@ def _parent_rows(p: PSeq, kind: str, samples: int, rng: RngState) -> np.ndarray:
         out.append(parent)
         need -= parent.shape[0]
     return np.concatenate(out)
+
+
+def _drawn_height_rows(p: PSeq, x: np.ndarray, u: np.ndarray):
+    """Per row i, the height in `breadth_tree` of the relocation of x[i] of
+    the vertex that `p.draw` picks with the uniform u[i], as in
+    `breadth_chains`; all rows walk their chains at once.
+
+    Returns (heights, flagged): `flagged` marks the rows on which the single
+    path redraws or raises (`_relocated_rows`' redraw and tie), whose height
+    is left at 0.  A row's parent rank is the count of its claim ends below
+    the position, `breadth_chains`' binary search read as a count.
+    """
+    pos_order, xs_sorted, w_sorted, redraw, tie = _relocated_rows(p, x)
+    flagged = redraw | tie
+    ends = _breadth_ends(w_sorted)
+    drawn = np.searchsorted(p._bounds, u, side="right")
+    rank = np.argmax(pos_order == drawn[:, None], axis=1)
+    rank[flagged] = 0
+    heights = np.zeros(x.shape[0], dtype=np.int64)
+    for _ in range(p.n):
+        live = np.flatnonzero(rank)
+        if not live.size:
+            return heights, flagged
+        heights[live] += 1
+        rank[live] = (ends[live] < xs_sorted[live, rank[live], None]).sum(axis=1)
+    raise DegenerateError("an ancestor chain does not reach the root")
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,17 @@ def _json_scalar(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def ks_p_value(d: float, size_a: int, size_b: int) -> float:
+    """Asymptotic p-value of the two-sample Kolmogorov-Smirnov statistic d
+    at the given sample sizes: the Kolmogorov tail at the small-sample
+    corrected statistic."""
+    ne = size_a * size_b / (size_a + size_b)
+    return float(kolmogorov((np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne)) * d))
+
+
 def ks_two_sample(a, b, suite: str = "ks") -> TestReport:
-    """Two-sample Kolmogorov-Smirnov test with asymptotic p-value: the
-    Kolmogorov tail at the small-sample corrected statistic."""
+    """Two-sample Kolmogorov-Smirnov test with asymptotic p-value
+    (`ks_p_value`)."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
@@ -70,9 +78,7 @@ def ks_two_sample(a, b, suite: str = "ks") -> TestReport:
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     d = float(np.abs(cdf_a - cdf_b).max())
-    ne = a.size * b.size / (a.size + b.size)
-    lam = (np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne)) * d
-    p = float(kolmogorov(lam))
+    p = ks_p_value(d, a.size, b.size)
     return TestReport(suite=suite, statistic=d, p_value=p, passed=p > ALPHA,
                       n_samples=int(min(a.size, b.size)))
 

@@ -20,8 +20,10 @@ from .icrt import line_breaking_tree, sample_function_tree, spanning_subtree
 from .paths import sample_brownian_bridge, sup_distance, validate_theta
 from .ptree import (
     PSeq,
+    _drawn_height_rows,
     _parent_rows,
     approximating_pseq,
+    breadth_chains,
     breadth_tree,
     claim_margin,
     corrected_pending_error,
@@ -258,14 +260,39 @@ def _spanning_summaries(p: PSeq, leaves: int, replicates: int, rng: RngState):
         while True:
             stream = _stream(rng, "theorem2/spanning", k, rejection)
             try:
-                tr = breadth_tree(sample_positions(p, stream))
-                et = spanning_subtree(tr, p, leaves, stream)
+                # rel stays bound until the next draw replaces it: freed at
+                # once, its arrays would let the allocator release the heap
+                # top, and each draw at n = 10^5 would fault about 2100
+                # fresh pages in, against about 600
+                rel = sample_positions(p, stream)
+                et = spanning_subtree(rel, p, leaves, stream)
                 break
             except (DuplicateSampleError, DegenerateError, TieError):
                 rejects += 1
                 rejection += 1
         out[k] = _summary(et.scale_lengths(sigma))
     return out, rejects
+
+
+# A replicate of the spanning side redraws until its J vertices are
+# distinct.  J draws from a vector of N entries are distinct with chance at
+# most prod_{i<J} (1 - i/N), the uniform vector's; below this chance a
+# replicate would redraw a million times or more on average.
+MIN_DISTINCT_CHANCE = 1e-6
+
+
+def check_spanning_leaves(p: PSeq, leaves: int) -> None:
+    """Raise ValueError when `leaves` vertices drawn from p could never,
+    or only after a million redraws or more, come up distinct and off the
+    root."""
+    if leaves > p.n - 1:
+        raise ValueError(f"{leaves} leaves need as many distinct non-root vertices; "
+                         f"the vector has {p.n - 1}")
+    chance = float(np.prod(1.0 - np.arange(leaves) / p.n))
+    if chance < MIN_DISTINCT_CHANCE:
+        raise ValueError(f"{leaves} draws from {p.n} entries are distinct with chance at "
+                         f"most {chance:.2g}, so a replicate would redraw "
+                         f"{1.0 / chance:.2g} times or more")
 
 
 def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
@@ -275,10 +302,7 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
     matches the excursion marginal (trees at n = 10^4, excursions at grid
     2^12)."""
     p = approximating_pseq(REFERENCE_THETA, n)
-    if leaves > p.n - 1:
-        # every draw would repeat a vertex or hit the root, and be redrawn
-        raise ValueError(f"{leaves} leaves need as many distinct non-root vertices; "
-                         f"the vector at n = {n} has {p.n - 1}")
+    check_spanning_leaves(p, leaves)
 
     def spanning_reports(rng):
         sp, rejects = _spanning_summaries(p, leaves, replicates, rng)
@@ -435,18 +459,47 @@ def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0):
 # 8. repeat-time identity
 # ---------------------------------------------------------------------------
 
+# Replicates per block of the repeat-time heights: one (block, n) draw
+# matrix at a time, so memory does not grow with the replicate count.
+HEIGHT_BLOCK = 512
+
+
+def _drawn_heights(p: PSeq, replicates: int, rng: RngState) -> np.ndarray:
+    """Per replicate k, the height of one p-drawn vertex in the breadth
+    tree of a realisation, both drawn from the stream "repeat-time/height"
+    k: the positions by `sample_positions`, then the vertex by `p.draw`.
+
+    Replicates are drawn HEIGHT_BLOCK rows at a time, each row from its own
+    stream, and every row of a block walks its vertex's ancestor chain at
+    once (`_drawn_height_rows`).  A row the single path redraws or raises
+    on is recomputed by it from a fresh stream of the same name.
+    """
+    side = "repeat-time/height"
+    out = np.empty(replicates, dtype=np.int64)
+    for start in range(0, replicates, HEIGHT_BLOCK):
+        ks = range(start, min(start + HEIGHT_BLOCK, replicates))
+        x = np.empty((len(ks), p.n))
+        u = np.empty(len(ks))
+        for i, k in enumerate(ks):
+            gen = _stream(rng, side, k).gen
+            x[i] = gen.random(p.n)
+            u[i] = gen.random()
+        heights, flagged = _drawn_height_rows(p, x, u)
+        for i in np.flatnonzero(flagged).tolist():
+            stream = _stream(rng, side, ks[i])
+            rel = sample_positions(p, stream)
+            heights[i] = len(breadth_chains(rel, [int(p.draw(stream))])[0]) - 1
+        out[ks.start:ks.stop] = heights
+    return out
+
+
 def suite_repeat_time(n: int = 50, replicates: int = 100_000, seed: int = 0):
     """First-repeat index minus two matches the height of a drawn vertex."""
     p = uniform_pseq(n)
 
     def reports(rng):
         side_a = repeat_time_sample(p, _stream(rng, "repeat-time/first-repeat"), replicates) - 2
-        side_b = np.empty(replicates, dtype=np.int64)
-        for k in range(replicates):
-            stream = _stream(rng, "repeat-time/height", k)
-            tr = breadth_tree(sample_positions(p, stream))
-            v = int(p.draw(stream))
-            side_b[k] = tr.heights[v]
+        side_b = _drawn_heights(p, replicates, rng)
         return [ks_two_sample(side_a, side_b, suite="repeat-time")]
 
     return _run_checks(seed, [reports])

@@ -158,6 +158,16 @@ REFERENCE = "0.862,0.345,0.302,0.216"
                  "--n 3 is too small for theta", id="verify-theorem2-n"),
     pytest.param(["verify", "theorem2", "--n", "50", "--samples", "3", "--J", "60"],
                  "--J 60 is too large for theorem2", id="verify-theorem2-J-above-n"),
+    pytest.param(["verify", "theorem2", "--n", "50", "--samples", "5", "--J", "35"],
+                 "--J 35 is too large for theorem2", id="verify-theorem2-J-near-n"),
+    pytest.param(["verify", "theorem1", "--grid", "64", "--samples", "4"],
+                 "--samples 4 is too small for theorem1", id="verify-theorem1-ks-samples"),
+    pytest.param(["verify", "theorem2", "--n", "50", "--samples", "4"],
+                 "--samples 4 is too small for theorem2", id="verify-theorem2-ks-samples"),
+    pytest.param(["verify", "jeulin", "--grid", "64", "--samples", "4"],
+                 "--samples 4 is too small for jeulin", id="verify-jeulin-ks-samples"),
+    pytest.param(["verify", "repeat-time", "--n", "5", "--samples", "1"],
+                 "--samples 1 is too small for repeat-time", id="verify-repeat-time-ks-samples"),
     pytest.param(["verify", "identities", "--n", "3", "--samples", "5"],
                  "--n 3 is too small for theta", id="verify-identities-n"),
     pytest.param(["verify", "btree-law", "--samples", "10"], "--samples 10 is too small",
@@ -174,6 +184,24 @@ def test_bad_input_exits_2(argv, message, capsys):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_theorem2_refuses_leaves_near_n_at_once():
+    # 52 of the 53 entries at --n 50 are distinct with chance 9e-21: the
+    # redraws would never end, so the command must refuse before sampling
+    res = subprocess.run(
+        [sys.executable, "-m", "icrt_lab.cli", "verify", "theorem2", "--n", "50",
+         "--samples", "1", "--J", "52"], capture_output=True, text=True, timeout=5)
+    assert res.returncode == 2
+    assert "--J 52 is too large for theorem2" in res.stderr
+    assert "Traceback" not in res.stderr and len(res.stderr.strip().splitlines()) == 1
+
+
+def test_five_ks_samples_run(tmp_path):
+    # five per side is the fewest at which D = 1 fails the KS test
+    rc = run_cli(["verify", "repeat-time", "--n", "5", "--samples", "5",
+                  "--out", str(tmp_path / "r.jsonl")])
+    assert rc in (0, 1)
 
 
 def test_path_kinds_do_not_check_n_against_theta(tmp_path):

@@ -16,6 +16,7 @@ from icrt_lab.paths import continuous_path, validate_theta
 from icrt_lab.ptree import (
     PSeq,
     approximating_pseq,
+    breadth_chains,
     breadth_tree,
     depth_tree,
     relocate,
@@ -301,12 +302,29 @@ def length_code(et: EdgeTree) -> str:
     return code(0)
 
 
+def parent_chains(tree, vertices):
+    """Root-first ancestor chains of the vertices, read from the parent
+    array."""
+    chains = []
+    for v in vertices:
+        chain = [v]
+        while tree.parent[chain[-1]] != -1:
+            chain.append(int(tree.parent[chain[-1]]))
+        chains.append(chain[::-1])
+    return chains
+
+
+def reduce_on_tree(tree, vertices) -> EdgeTree:
+    """The spanning reduction of a tree given by its parent array."""
+    return _spanning_reduction(parent_chains(tree, vertices))
+
+
 def reduce_both(tree, vertices):
     """(outcome, outcome) of the spanning reduction and the oracle; an
     outcome is the tree's length code and total-length bits, or the
     exception type."""
     out = []
-    for fn in (_spanning_reduction, spanning_subtree_oracle):
+    for fn in (reduce_on_tree, spanning_subtree_oracle):
         try:
             et = fn(tree, vertices)
         except Exception as e:  # the exception type must match too
@@ -317,7 +335,7 @@ def reduce_both(tree, vertices):
 
 
 def hand_tree(parent) -> SimpleNamespace:
-    # the spanning reduction reads only the parent array and the root
+    # the oracle reads only the parent array and the root
     parent = np.array(parent)
     return SimpleNamespace(parent=parent, root=int(np.flatnonzero(parent == -1)[0]))
 
@@ -338,12 +356,12 @@ class TestSpanningOracle:
         assert new == old
 
     def test_nested_chain_labels_inner_nodes(self):
-        et = _spanning_reduction(hand_tree([-1, 0, 1, 2]), [3, 1, 2])
+        et = reduce_on_tree(hand_tree([-1, 0, 1, 2]), [3, 1, 2])
         assert list(et.leaf_depths()) == [3.0, 1.0, 2.0]
         assert et.n_nodes == 4 and et.total_length() == 3.0
 
     def test_branching_at_the_root(self):
-        et = _spanning_reduction(hand_tree([-1, 0, 0, 2]), [3, 1])
+        et = reduce_on_tree(hand_tree([-1, 0, 0, 2]), [3, 1])
         assert list(et.parent) == [-1, 0, 0] and sorted(et.lengths) == [0.0, 1.0, 2.0]
 
     def test_exceptions_match(self):
@@ -365,22 +383,49 @@ class TestSpanningOracle:
                         vertices = [int(v) for v in p.draw(RngState(21).child(k), size=2 + k % 5)]
                         new, old = reduce_both(tree, vertices)
                         assert new == old, (n, build.__name__, k)
+                        if build is breadth_tree:
+                            assert breadth_chains(rel, vertices) == parent_chains(tree, vertices)
                         count += 1
         assert count == 1200
+
+    def test_spanning_subtree_reads_the_breadth_tree(self, reference_theta):
+        # the reduction from the relocation's chains has the bits of the
+        # reduction of the built breadth tree, or raises the same error, and
+        # both leave the stream at the same state
+        for n in (60, 6000):
+            for p in (uniform_pseq(n), approximating_pseq(reference_theta, n)):
+                rel = sample_positions(p, RngState(22).child(n))
+                tree = breadth_tree(rel)
+                for k in range(50):
+                    outcomes = []
+                    for read in (lambda rng: spanning_subtree(rel, p, 2 + k % 4, rng),
+                                 lambda rng: reduce_on_tree(
+                                     tree, [int(v) for v in p.draw(rng, size=2 + k % 4)])):
+                        rng = RngState(23).child(k)
+                        try:
+                            et = read(rng)
+                            out = (length_code(et), et.lengths.sum().hex())
+                        except (DuplicateSampleError, DegenerateError) as e:
+                            out = type(e)
+                        outcomes.append((out, rng.gen.random()))
+                    assert outcomes[0] == outcomes[1], (n, k)
 
 
 class TestSpanningSubtree:
     def setup_method(self):
         self.p = PSeq(np.array([0.5, 0.3, 0.2]))
-        self.tree = breadth_tree(relocate(self.p, [0.05, 0.5, 0.7]))  # chain 0 -> 1 -> 2
+        self.rel = relocate(self.p, [0.05, 0.5, 0.7])  # chain 0 -> 1 -> 2
+
+    def reduce(self, vertices):
+        return _spanning_reduction(breadth_chains(self.rel, vertices))
 
     def test_single_vertex_path(self):
-        et = _spanning_reduction(self.tree, [2])
+        et = self.reduce([2])
         assert et.n_nodes == 2
         assert et.leaf_depths()[0] == 2.0  # height of vertex 2
 
     def test_nested_markers(self):
-        et = _spanning_reduction(self.tree, [1, 2])
+        et = self.reduce([1, 2])
         # vertex 1 is on the path to vertex 2: kept as a labeled inner node
         d = et.leaf_depths()
         assert list(d) == [1.0, 2.0]
@@ -388,22 +433,22 @@ class TestSpanningSubtree:
 
     def test_duplicate_raises(self):
         with pytest.raises(DuplicateSampleError):
-            _spanning_reduction(self.tree, [2, 2])
+            self.reduce([2, 2])
 
     def test_root_draw_raises(self):
         with pytest.raises(DegenerateError):
-            _spanning_reduction(self.tree, [0])
+            self.reduce([0])
 
     def test_duplicate_rate_shrinks(self):
         rates = []
         for n in (1000, 10_000):
             p = uniform_pseq(n)
-            tree = breadth_tree(sample_positions(p, RngState(16)))
+            rel = sample_positions(p, RngState(16))
             dup = 0
             draws = 2000
             for k in range(draws):
                 try:
-                    spanning_subtree(tree, p, 5, RngState(17).child(k))
+                    spanning_subtree(rel, p, 5, RngState(17).child(k))
                 except (DuplicateSampleError, DegenerateError):
                     dup += 1
             rates.append(dup / draws)
@@ -414,8 +459,9 @@ class TestSpanningSubtree:
         # total length equals the number of spanning-tree edges
         n = 200
         p = uniform_pseq(n)
-        tree = breadth_tree(sample_positions(p, RngState(18)))
-        et = spanning_subtree(tree, p, 3, RngState(19))
+        rel = sample_positions(p, RngState(18))
+        tree = breadth_tree(rel)
+        et = spanning_subtree(rel, p, 3, RngState(19))
         # recompute by brute force: union of root paths
         # (vertices drawn again with the same stream)
         verts = [int(v) for v in p.draw(RngState(19), size=3)]

@@ -17,6 +17,10 @@ each take the one `Relocation`, and `ptree` calls neither `np.mod` nor
 The tree-law check reads its trees as batched rows: `verify._tree_law_reports`
 calls none of `sample_positions`, `breadth_tree` and `depth_tree`, and it is
 the one caller of the batched builder, `ptree._parent_rows`.
+The drawn vertices of the spanning side and of the repeat-time heights are
+read from their ancestor chains: `verify._spanning_summaries`,
+`suite_repeat_time` and `_drawn_heights` name no `breadth_tree` and read no
+`.heights`, and `icrt` does not name `breadth_tree`.
 `verify` summarises every reduced tree in one function, `_summary`, and
 compares two reduced-tree laws in one function, `_reduced_law_reports`,
 which alone holds the one-leaf rule.
@@ -193,6 +197,19 @@ def test_tree_law_reads_batched_rows():
     owners = [(mod, owner) for mod, tree in trees.items()
               for owner, _, _ in _calls(tree, ("_parent_rows",))]
     assert owners == [("verify", "_tree_law_reports")]
+
+
+def test_drawn_vertices_read_their_chains():
+    # a few drawn vertices need only their ancestor chains, never a whole tree
+    trees = {path.stem: _tree(path) for path in MODULES}
+    functions = {node.name: node for node in trees["verify"].body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("_spanning_summaries", "suite_repeat_time", "_drawn_heights"):
+        node = functions[name]
+        attributes = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert "breadth_tree" not in _referenced_names(node) and "heights" not in attributes, name
+    assert "_drawn_heights" in _referenced_names(functions["suite_repeat_time"])
+    assert "breadth_tree" not in _referenced_names(trees["icrt"])
 
 
 # Public names (`name` or `Class.method`) allowed to have no caller outside

@@ -675,6 +675,60 @@ class TestHeights:
         assert ptree._path_accumulate(t, np.ones(n, dtype=np.int64)).tobytes() == want.tobytes()
 
 
+def parent_chain(tree, v):
+    """Root-first ancestor chain of v, read from the parent array."""
+    chain = [int(v)]
+    while tree.parent[chain[-1]] != -1:
+        chain.append(int(tree.parent[chain[-1]]))
+    return chain[::-1]
+
+
+# p = (0.5, 0.25, 0.25) relocated at vertex 0 to the dyadic positions 0,
+# 0.25 and 0.5: vertex 2 sits exactly at the root's claim end 0.5, so the
+# root claims both others.
+P_DYADIC = PSeq(np.array([0.5, 0.25, 0.25]))
+X_DYADIC = [0.125, 0.375, 0.625]
+
+# A hand relocation whose rank 1 (at 0.5) lies past its predecessors'
+# claim ends 0.1 and 0.2: no relocated draw does this, and its chain would
+# never reach the root.
+STUCK = ptree.Relocation(0, np.array([0.0, 0.5, 0.6]), np.arange(3),
+                         np.array([0.0, 0.5, 0.6]), np.array([0.1, 0.1, 0.8]))
+
+
+class TestBreadthChains:
+    # ptree.breadth_chains against the parent chains of breadth_tree
+    @pytest.mark.parametrize("n", [1, 2, 50, 1000, 100_000])
+    def test_chains_match_breadth_tree(self, n):
+        vectors = [uniform_pseq(n)]
+        if n >= 50:
+            vectors.append(approximating_pseq(REFERENCE_THETA, n))
+        for p in vectors:
+            for k in range(3):
+                rng = RngState(44).child(n, k)
+                rel = sample_positions(p, rng)
+                tree = breadth_tree(rel)
+                if n <= 1000:
+                    vertices = list(range(n))
+                else:
+                    vertices = [rel.root] + p.draw(rng, size=30).tolist()
+                assert ptree.breadth_chains(rel, vertices) == [
+                    parent_chain(tree, v) for v in vertices]
+
+    def test_position_at_a_claim_end(self):
+        # a claim end is reached, not passed: the search is side="left"
+        rel = relocate(P_DYADIC, X_DYADIC)
+        assert rel.root == 0 and rel.xs_sorted.tolist() == [0.0, 0.25, 0.5]
+        assert breadth_tree(rel).parent.tolist() == [-1, 0, 0]
+        assert ptree.breadth_chains(rel, [2, 1, 0]) == [[0, 2], [0, 1], [0]]
+        assert ptree.breadth_chains(rel, []) == []
+
+    def test_chain_that_misses_the_root_raises(self):
+        with pytest.raises(DegenerateError, match="does not reach the root"):
+            ptree.breadth_chains(STUCK, [1])
+        assert ptree.breadth_chains(STUCK, [0]) == [[0]]
+
+
 class TestSingleVertex:
     def test_trees(self):
         rel = relocate(uniform_pseq(1), [0.4])
@@ -1037,6 +1091,98 @@ def repeat_time_oracle(p, rng):
             return t, total
         seen.add(xi)
         total += tail[xi]
+
+
+def drawn_heights_oracle(p, replicates, rng):
+    """The repeat-time heights one breadth tree per replicate, as
+    verify.suite_repeat_time read them before it walked batched chains.
+    Test-only oracle for verify._drawn_heights."""
+    out = np.empty(replicates, dtype=np.int64)
+    for k in range(replicates):
+        stream = verify._stream(rng, "repeat-time/height", k)
+        tr = breadth_tree(sample_positions(p, stream))
+        out[k] = tr.heights[int(p.draw(stream))]
+    return out
+
+
+def heights_or_error(heights, p, replicates, seed):
+    try:
+        return heights(p, replicates, RngState(seed).child(0)).tobytes()
+    except TieError as e:
+        return TieError, str(e)
+
+
+REAL_STREAM = verify._stream
+
+
+def force_rows(monkeypatch, rows):
+    """Make replicate k of the repeat-time heights draw rows[k], then the
+    positions GOOD3[1] or, at n = 2, [0.3, 0.8], and then the uniform 0.9."""
+    def scripted(rng, side, k=0, rejection=0):
+        if side == "repeat-time/height" and k in rows:
+            second = GOOD3[1] if len(rows[k]) == 3 else [0.3, 0.8]
+            return FixedUniforms(rows[k], second, [0.9])
+        return REAL_STREAM(rng, side, k, rejection)
+
+    monkeypatch.setattr(verify, "_stream", scripted)
+
+
+class TestDrawnHeights:
+    # verify._drawn_heights against one breadth tree per replicate
+    @pytest.mark.parametrize("n", [1, 2, 5, 50, 200])
+    def test_blocks_match_per_replicate_loop(self, n, monkeypatch):
+        monkeypatch.setattr(verify, "HEIGHT_BLOCK", 16)
+        vectors = [uniform_pseq(n)]
+        if n >= 50:
+            vectors.append(approximating_pseq(REFERENCE_THETA, n))
+        for p in vectors:
+            for replicates in (0, 1, 15, 16, 17, 40):
+                for seed in range(2):
+                    got = verify._drawn_heights(p, replicates, RngState(seed).child(0))
+                    want = drawn_heights_oracle(p, replicates, RngState(seed).child(0))
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("replicates", [verify.HEIGHT_BLOCK - 1, verify.HEIGHT_BLOCK,
+                                            verify.HEIGHT_BLOCK + 1])
+    def test_default_block_edges(self, replicates):
+        p = uniform_pseq(50)
+        got = verify._drawn_heights(p, replicates, RngState(3).child(0))
+        assert got.tobytes() == drawn_heights_oracle(p, replicates, RngState(3).child(0)).tobytes()
+
+    @pytest.mark.parametrize("bad", list(REDRAWN3))
+    def test_redrawn_rows_are_recomputed(self, bad, monkeypatch):
+        assert ptree._drawn_height_rows(P3, np.array([REDRAWN3[bad]]), np.array([0.9]))[1].tolist() \
+            == [True]
+        monkeypatch.setattr(verify, "HEIGHT_BLOCK", 4)
+        force_rows(monkeypatch, {0: REDRAWN3[bad], 3: GOOD3[0], 5: REDRAWN3[bad]})
+        for replicates in (1, 4, 7):
+            got = heights_or_error(verify._drawn_heights, P3, replicates, 0)
+            assert got == heights_or_error(drawn_heights_oracle, P3, replicates, 0)
+
+    def test_tie_raises_where_the_single_path_does(self, monkeypatch):
+        p, tie = TIE2
+        assert ptree._drawn_height_rows(p, np.array([tie]), np.array([0.9]))[1].tolist() == [True]
+        monkeypatch.setattr(verify, "HEIGHT_BLOCK", 4)
+        for k in (0, 2, 5):
+            force_rows(monkeypatch, {k: tie, 1: [0.0, 0.8]})
+            for replicates in (k, k + 1):
+                got = heights_or_error(verify._drawn_heights, p, replicates, 0)
+                assert got == heights_or_error(drawn_heights_oracle, p, replicates, 0)
+                assert isinstance(got, tuple) == (replicates > k)
+
+    def test_position_at_a_claim_end(self):
+        # vertex 2 (u = 0.9) sits at the root's claim end, so its height is
+        # 1, as is vertex 1's (u = 0.6); the root's (u = 0.1) is 0
+        heights, flagged = ptree._drawn_height_rows(P_DYADIC, np.array([X_DYADIC] * 3),
+                                                    np.array([0.9, 0.6, 0.1]))
+        assert heights.tolist() == [1, 1, 0] and flagged.tolist() == [False] * 3
+
+    def test_chain_that_misses_the_root_raises(self, monkeypatch):
+        no = np.zeros(1, dtype=bool)
+        monkeypatch.setattr(ptree, "_relocated_rows", lambda p, x: (
+            STUCK.pos_order[None], STUCK.xs_sorted[None], STUCK.w_sorted[None], no, no))
+        with pytest.raises(DegenerateError, match="does not reach the root"):
+            ptree._drawn_height_rows(P3, np.zeros((1, 3)), np.array([0.6]))
 
 
 class TestRepeatTime:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from icrt_lab import verify
+from icrt_lab.ptree import approximating_pseq
 from icrt_lab.rng import RngState
 from icrt_lab import stats
 
@@ -220,3 +221,17 @@ class TestRunChecks:
         monkeypatch.setattr(verify, "_spanning_summaries", no_sampling)
         with pytest.raises(ValueError, match="53 leaves"):
             verify.suite_theorem2(n=50, replicates=3, leaves=53, marginal_reps=2)
+        # 34 and 35 of the 53 entries come up distinct with chance at most
+        # 8e-7 and 3e-7: a replicate would redraw a million times or more
+        for leaves in (34, 35, 52):
+            with pytest.raises(ValueError, match=f"{leaves} draws from 53 entries"):
+                verify.suite_theorem2(n=50, replicates=3, leaves=leaves, marginal_reps=2)
+
+    def test_theorem2_leaf_bound(self):
+        # J = 30 at n = 50 still runs: about 3e4 redraws per replicate or more
+        p = approximating_pseq(verify.REFERENCE_THETA, 50)
+        for leaves in (1, 2, 30, 33):
+            verify.check_spanning_leaves(p, leaves)
+        for leaves in (34, 52, 53, 60):
+            with pytest.raises(ValueError):
+                verify.check_spanning_leaves(p, leaves)

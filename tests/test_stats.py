@@ -10,10 +10,12 @@ from icrt_lab.paths import CadlagPath, continuous_path
 from icrt_lab.reflect import sample_excursion
 from icrt_lab.rng import RngState
 from icrt_lab.stats import (
+    ALPHA,
     MONITORING_BETA,
     TestReport as Report,  # aliased so pytest does not collect it
     chi_square_gof,
     excursion_time_change,
+    ks_p_value,
     ks_two_sample,
     time_in_band,
 )
@@ -75,6 +77,16 @@ class TestKs:
         a = np.arange(1000.0)
         assert ks_two_sample(a, a).p_value == 1.0
         assert ks_two_sample(a, a + 1000.0).p_value < 1e-12
+
+    def test_wholly_apart_samples(self):
+        # D = 1 at n per side: the smallest p-value n samples can give, and
+        # below n = 5 it exceeds ALPHA, so the test cannot fail
+        want = [0.289, 0.097, 0.033, 0.011, 0.0038]
+        for n, p in enumerate(want, start=1):
+            rep = ks_two_sample(np.zeros(n), np.ones(n))
+            assert rep.statistic == 1.0 and rep.p_value == ks_p_value(1.0, n, n)
+            assert rep.p_value == pytest.approx(p, rel=0.02)
+            assert rep.passed == (n < 5) == (rep.p_value > ALPHA)
 
     @pytest.mark.parametrize("n", [20_000, 1_000_000])
     def test_near_identical_samples_pass(self, n):
