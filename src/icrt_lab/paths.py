@@ -251,9 +251,10 @@ def sup_distance(a: CadlagPath, b: CadlagPath) -> float:
 def cyclic_shift(path: CadlagPath, pivot: float, base: float) -> CadlagPath:
     """Relocate the time origin to `pivot` (mod 1) and subtract `base`.
 
-    Requires a path on [0, 1]; the seam at 1 - pivot glues old time 1 to old
-    time 0.  The new path starts at the pivot's right value minus base and
-    ends at the pivot's left limit minus base.
+    Requires a path on [0, 1] and a pivot at 0 or at one of its
+    breakpoints; the seam at 1 - pivot glues old time 1 to old time 0.  The
+    new path starts at the pivot's right value minus base and ends at the
+    pivot's left limit minus base.
     """
     if path.t0 != 0.0 or path.t1 != 1.0:
         raise ValueError("cyclic shift requires domain [0, 1]")
@@ -263,20 +264,11 @@ def cyclic_shift(path: CadlagPath, pivot: float, base: float) -> CadlagPath:
         raise ValueError("pivot must lie in [0, 1)")
     t, l, r = path.times, path.left, path.right
     k = int(np.searchsorted(t, pivot))
-    pivot_is_bp = t[k] == pivot
-    if pivot_is_bp:
-        head_t = t[k:-1] - pivot
-        head_l = l[k:-1]
-        head_r = r[k:-1]
-    else:
-        v = path.value(pivot)
-        head_t = np.concatenate([[0.0], t[k:-1] - pivot])
-        head_l = np.concatenate([[v], l[k:-1]])
-        head_r = np.concatenate([[v], r[k:-1]])
-    end_v = path.left_limit(pivot)
-    times = np.concatenate([head_t, [1.0 - pivot], t[1:k] + (1.0 - pivot), [1.0]])
-    left = np.concatenate([head_l, [l[-1]], l[1:k], [end_v]]) - base
-    right = np.concatenate([head_r, [r[0]], r[1:k], [end_v]]) - base
+    if t[k] != pivot:
+        raise ValueError("pivot must be a breakpoint of the path")
+    times = np.concatenate([t[k:-1] - pivot, [1.0 - pivot], t[1:k] + (1.0 - pivot), [1.0]])
+    left = np.concatenate([l[k:-1], [l[-1]], l[1:k], [l[k]]]) - base
+    right = np.concatenate([r[k:-1], [r[0]], r[1:k], [l[k]]]) - base
     return CadlagPath(times, left, right)
 
 

@@ -5,9 +5,10 @@ unit circle; the walk with drift -1 and a jump of p_i at particle i encodes
 a random rooted tree on [n] with probability prod_v p_v^(children of v).
 Each realisation is relocated once, at the minimizing particle, into a
 `Relocation`; the walk's excursion and both the breadth-first and the
-depth-first readings are views of it.  Many small trees at once, as the
-law check needs, come from `_parent_rows`: the same parent arrays, bit for
-bit, from one draw matrix read row by row.  Where only a few drawn
+depth-first readings are views of it.  One routine, `_relocated_rows`,
+relocates one row or many.  Many small trees at once, as the law check
+needs, come from `_parent_rows`: the same parent arrays, bit for bit, from
+one draw matrix read row by row.  Where only a few drawn
 vertices matter, their ancestor chains in the breadth reading are read
 from the relocation without the tree (`breadth_chains`, and
 `_drawn_height_rows` for many rows at once).  The exact structural
@@ -31,14 +32,6 @@ from .paths import CadlagPath, Theta, subtract_on_windows, sup_distance
 from .rng import RngState
 
 TIE_TOL = 1e-12
-
-# Heights come from pointer doubling from this many vertices on, from the
-# visit-order loop below it.  Minimum of 7 timings per tree, both readings,
-# uniform and reference p (2-vCPU x86-64, Python 3.11, numpy 2.4): the loop
-# took 6-10 us at n = 50 against 22-37 us, about as long at n = 300 (28 us),
-# and 110-116 us at n = 1000 against 47-53 us; at n = 10^5 it took 36-41 ms
-# against 4.5-4.7 ms.
-DOUBLING_MIN_N = 300
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +143,7 @@ class RootedTree:
     @property
     def heights(self) -> np.ndarray:
         if self._heights is None:
-            if self.n < DOUBLING_MIN_N:
-                self._heights = _path_accumulate(self, np.ones(self.n, dtype=np.int64))
-            else:
-                self._heights = _doubled_heights(self.parent, self.root)
+            self._heights = _doubled_heights(self.parent, self.root)
         return self._heights
 
     def validate(self) -> None:
@@ -192,49 +182,75 @@ class Relocation:
         return int(self.positions.size)
 
 
-def relocate(p: PSeq, x) -> Relocation:
-    """Relocation of the positions x at the minimizing particle.
+def _relocated_rows(p: PSeq, x: np.ndarray):
+    """Each row of x relocated at its minimizing particle, and the outcome
+    of each check per row; `relocate` is the one-row case.
 
-    The walk attains its infimum as a left limit at a unique particle;
-    ties within 1e-12 raise TieError, and coinciding positions, before or
-    after relocation, DuplicatePositionError.  Relocation is a rotation of
-    the circle, so the sort order of the relocated positions is the sort
-    order of x rotated to start at the minimizer.
+    Returns positions, pos_order, xs_sorted and w_sorted as in `Relocation`,
+    one row per row of x, then the rows to redraw and those with a tie, a
+    repeated position and a collision after relocation.  `sample_positions`
+    redraws a zero, a repeat, or a collision without a tie; a tie on any
+    other row raises.
     """
+    m, n = x.shape
+    row = np.arange(m)
+    flat = n * row[:, None]  # where each row starts in x.ravel()
+    order = np.argsort(x, axis=1)
+    x_sorted = x.take(order + flat)
+    repeat = (x_sorted[:, 1:] == x_sorted[:, :-1]).any(axis=1)
+    w = p.probs[order]
+    pre_min = np.zeros((m, n))  # left limits at each particle
+    np.cumsum(w[:, :-1], axis=1, out=pre_min[:, 1:])
+    pre_min -= x_sorted
+    k = np.argmin(pre_min, axis=1)
+    lowest = pre_min[row, k]
+    pre_min[row, k] = np.inf
+    tie = pre_min[row, np.argmin(pre_min, axis=1)] - lowest <= TIE_TOL
+    v1 = order[row, k]
+    base = x[row, v1][:, None]
+    # 1.0 added where negative, the same bits as np.mod(x - base, 1.0) for
+    # x in (0, 1); adding 0.0 elsewhere keeps every bit, as no -0.0 arises
+    positions = x - base
+    positions += positions < 0.0
+    positions[row, v1] = 0.0
+    # Relocation is a rotation of the circle, so rotating the sort at the
+    # minimizer, by slicing one row and by one gather for many, gives the
+    # positions and weights in position order, each position with the
+    # operations above.  They stay sorted up to ties: the subtraction and the
+    # wrap-around add round monotonically, and a wrapped value is at least
+    # 1 - base, which no unwrapped value exceeds.
+    if m == 1:
+        k = k[0]
+        turned = (np.concatenate([a[:, k:], a[:, :k]], axis=1) for a in (order, x_sorted, w))
+    else:
+        turn = (np.arange(n) + k[:, None]) % n + flat
+        turned = (a.take(turn) for a in (order, x_sorted, w))
+    pos_order, xs_sorted, w_sorted = turned
+    xs_sorted -= base
+    xs_sorted += xs_sorted < 0.0
+    collide = (xs_sorted[:, 1:] == xs_sorted[:, :-1]).any(axis=1)
+    redraw = ~(x_sorted[:, 0] > 0.0) | repeat | (collide & ~tie)
+    return positions, pos_order, xs_sorted, w_sorted, redraw, tie, repeat, collide
+
+
+def relocate(p: PSeq, x) -> Relocation:
+    """Relocation of the positions x at the minimizing particle, the one-row
+    case of `_relocated_rows`.  The walk attains its infimum as a left limit
+    at a unique particle: a repeated position raises DuplicatePositionError,
+    then a tie within 1e-12 TieError, then positions that coincide after
+    relocation DuplicatePositionError."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != p.n:
         raise ValueError("positions must match the probability vector length")
-    order = np.argsort(x)
-    x_sorted = x[order]
-    if (x_sorted[1:] == x_sorted[:-1]).any():
+    positions, pos_order, xs_sorted, w_sorted, _, tie, repeat, collide = (
+        a[0] for a in _relocated_rows(p, x[None]))
+    if repeat:
         raise DuplicatePositionError("particle positions must be distinct")
-    w = p.probs[order]
-    cum_before = np.concatenate([[0.0], np.cumsum(w)[:-1]])
-    pre_min = cum_before - x_sorted  # left limits at each particle
-    k = int(np.argmin(pre_min))
-    if x.size > 1:
-        second = min(pre_min[:k].min(initial=np.inf), pre_min[k + 1:].min(initial=np.inf))
-        if second - pre_min[k] <= TIE_TOL:
-            raise TieError("two left limits tie for the minimum")
-    v1 = int(order[k])
-    # 1.0 added where negative, the same bits as np.mod(x - x[v1], 1.0) for
-    # x in (0, 1); adding 0.0 elsewhere keeps every bit, as no -0.0 arises
-    shifted = x - x[v1]
-    shifted += shifted < 0.0
-    shifted[v1] = 0.0
-    pos_order = np.concatenate([order[k:], order[:k]])
-    # The same rotation of the sorted positions and weights gives them in
-    # position order, with the same operations on each position as above:
-    # the positions before x[v1] are exactly the negative differences.
-    # They stay sorted up to ties: the subtraction and the wrap-around add
-    # round monotonically, and a wrapped value is at least 1 - x[v1], which
-    # no unwrapped value exceeds.
-    behind = x_sorted[:k] - x[v1]
-    behind += 1.0
-    xs_sorted = np.concatenate([x_sorted[k:] - x[v1], behind])
-    if (xs_sorted[1:] == xs_sorted[:-1]).any():
+    if tie:
+        raise TieError("two left limits tie for the minimum")
+    if collide:
         raise DuplicatePositionError("positions collide after relocation")
-    return Relocation(v1, shifted, pos_order, xs_sorted, np.concatenate([w[k:], w[:k]]))
+    return Relocation(int(pos_order[0]), positions, pos_order, xs_sorted, w_sorted)
 
 
 def sample_positions(p: PSeq, rng: RngState) -> Relocation:
@@ -299,6 +315,14 @@ def enumerate_parent_arrays(n: int):
                 yield tuple(parent)
 
 
+def _claim_ends(w_visit: np.ndarray) -> np.ndarray:
+    """Claim ends: the cumulative weights in visit order, along the last
+    axis, with the last set to 1."""
+    ends = np.cumsum(w_visit, axis=-1)
+    ends[..., -1] = 1.0
+    return ends
+
+
 def _claim_tree(rel: Relocation, kind: str) -> RootedTree:
     """Tree in which the i-th visited vertex claims, as its children, the
     particles not yet claimed whose relocated positions are at most the
@@ -311,17 +335,17 @@ def _claim_tree(rel: Relocation, kind: str) -> RootedTree:
     n = rel.n
     pos_order, xs_sorted, w_sorted = rel.pos_order, rel.xs_sorted, rel.w_sorted
     if kind == "breadth":
-        order, ends = pos_order, np.cumsum(w_sorted)
+        order, w_visit = pos_order, w_sorted
     else:
         ranks = _examination_ranks(xs_sorted, w_sorted)
-        # cumsum adds in examination order, exactly as the pass moved the cursor.
-        order, ends = pos_order[ranks], np.cumsum(w_sorted[ranks])
+        order, w_visit = pos_order[ranks], w_sorted[ranks]
     # Only the depth pass can stop short; in the breadth reading every
     # particle falls in an earlier interval because the walk, relocated at
     # its minimum, stays above 0 until time 1.
     if order.size != n:
         raise DegenerateError("claim intervals missed a particle")
-    ends[-1] = 1.0
+    # cumsum adds in visit order, exactly as the depth pass moved the cursor.
+    ends = _claim_ends(w_visit)
     # Visited vertex i claims ranks starts[i] up to, not including, claimed[i].
     claimed = np.searchsorted(xs_sorted, ends, side="right")
     starts = np.concatenate([[1], claimed[:-1]])
@@ -349,14 +373,6 @@ def breadth_tree(rel: Relocation) -> RootedTree:
     return _claim_tree(rel, "breadth")
 
 
-def _breadth_ends(w_sorted: np.ndarray) -> np.ndarray:
-    """Cumulative weights in position order, along the last axis, with the
-    last set to 1: the claim ends of the breadth reading."""
-    ends = np.cumsum(w_sorted, axis=-1)
-    ends[..., -1] = 1.0
-    return ends
-
-
 def breadth_chains(rel: Relocation, vertices) -> list[list[int]]:
     """Root-first ancestor chains of `vertices` in `breadth_tree(rel)`,
     read without building the tree.
@@ -367,7 +383,7 @@ def breadth_chains(rel: Relocation, vertices) -> list[list[int]]:
     has not reached the root after n steps, which only a rounding error
     within TIE_TOL of a tie could cause, raises DegenerateError.
     """
-    ends = _breadth_ends(rel.w_sorted)
+    ends = _claim_ends(rel.w_sorted)
     xs_sorted = rel.xs_sorted
     chains = []
     for rank in np.searchsorted(xs_sorted, rel.positions[vertices]).tolist():
@@ -442,38 +458,6 @@ def depth_tree(rel: Relocation) -> RootedTree:
 # Many small trees at once
 # ---------------------------------------------------------------------------
 
-def _relocated_rows(p: PSeq, x: np.ndarray):
-    """`relocate` applied to each row of x, with its outcome per row.
-
-    Returns (pos_order, xs_sorted, w_sorted, redraw, tie): `redraw` marks
-    the rows `sample_positions` redraws (a zero, a repeated position, or,
-    failing neither check nor the tie check, a collision after
-    relocation), and `tie` the rows on which relocate raises TieError.
-    Every operation is the single path's, taken along the rows, so each
-    kept row has the bits of its relocation.
-    """
-    m, n = x.shape
-    row = np.arange(m)
-    order = np.argsort(x, axis=1)
-    x_sorted = np.take_along_axis(x, order, axis=1)
-    early = ~(x.min(axis=1) > 0.0) | (x_sorted[:, 1:] == x_sorted[:, :-1]).any(axis=1)
-    cum = np.cumsum(p.probs[order], axis=1)
-    pre_min = np.concatenate([np.zeros((m, 1)), cum[:, :-1]], axis=1) - x_sorted
-    k = np.argmin(pre_min, axis=1)
-    tie = np.zeros(m, dtype=bool)
-    if n > 1:
-        lows = np.partition(pre_min, 1, axis=1)[:, :2]
-        tie = lows[:, 1] - lows[:, 0] <= TIE_TOL
-    v1 = order[row, k]
-    shifted = x - x[row, v1][:, None]
-    shifted += shifted < 0.0
-    shifted[row, v1] = 0.0
-    pos_order = np.take_along_axis(order, (np.arange(n) + k[:, None]) % n, axis=1)
-    xs_sorted = np.take_along_axis(shifted, pos_order, axis=1)
-    collide = (xs_sorted[:, 1:] == xs_sorted[:, :-1]).any(axis=1)
-    return pos_order, xs_sorted, p.probs[pos_order], early | (collide & ~tie), tie & ~early
-
-
 def _examination_rank_rows(xs_sorted: np.ndarray, w_sorted: np.ndarray):
     """`_examination_ranks` of each row in n vectorised steps.
 
@@ -482,7 +466,11 @@ def _examination_rank_rows(xs_sorted: np.ndarray, w_sorted: np.ndarray):
     step claimed: the single pass's stack holds exactly these runs, the
     latest on top.  Returns the (m, n) ranks and a per-row flag for the
     rows whose intervals missed a particle, which have no rank to examine
-    at some step before the n-th.
+    at some step before the n-th.  It stays beside the single scan because
+    each wins on its own inputs (2-vCPU x86-64, numpy 2.4, minimum of 9):
+    on 5000 rows at n = 3 and 4 the steps take 1.6 and 2.4 ms against 7.8
+    and 8.9 ms by the scan per row; on one row at n = 10^4, 507 ms
+    against 2.1 ms.
     """
     m, n = xs_sorted.shape
     rows = np.arange(m)
@@ -522,13 +510,15 @@ def _parent_rows(p: PSeq, kind: str, samples: int, rng: RngState) -> np.ndarray:
     redrawn rows DuplicatePositionError.  The claims compare each row's
     sorted positions with all of its cumulative ends at once, so the cost
     grows as n^2 per row: this serves the small trees of the law check.
+    On 5000 rows at n = 4 the broadcast claims take 0.49 ms against 8.2 ms
+    by `_claim_tree`'s searchsorted per row (2-vCPU x86-64, numpy 2.4).
     """
     n = p.n
     out = [np.empty((0, n), dtype=np.int64)]
     redraws = 0  # consecutive redrawn rows, carried across matrices
     need = samples
     while need:
-        pos_order, xs_sorted, w_sorted, redraw, tie = _relocated_rows(
+        _, pos_order, xs_sorted, w_sorted, redraw, tie, _, _ = _relocated_rows(
             p, rng.gen.random((need, n)))
         if kind == "breadth":
             visit = np.broadcast_to(np.arange(n), (need, n))
@@ -550,8 +540,7 @@ def _parent_rows(p: PSeq, kind: str, samples: int, rng: RngState) -> np.ndarray:
         keep = ~redraw
         pos_order, xs_sorted, visit = pos_order[keep], xs_sorted[keep], visit[keep]
         # cumsum adds along each row, left to right, as the single path's does
-        ends = np.cumsum(np.take_along_axis(w_sorted[keep], visit, axis=1), axis=1)
-        ends[:, -1] = 1.0
+        ends = _claim_ends(np.take_along_axis(w_sorted[keep], visit, axis=1))
         # rank r >= 1 is claimed by the first visit whose end reaches it
         claimer = (ends[:, None, :] < xs_sorted[:, 1:, None]).sum(axis=2)
         order = np.take_along_axis(pos_order, visit, axis=1)
@@ -571,11 +560,14 @@ def _drawn_height_rows(p: PSeq, x: np.ndarray, u: np.ndarray):
     Returns (heights, flagged): `flagged` marks the rows on which the single
     path redraws or raises (`_relocated_rows`' redraw and tie), whose height
     is left at 0.  A row's parent rank is the count of its claim ends below
-    the position, `breadth_chains`' binary search read as a count.
+    the position, `breadth_chains`' binary search read as a count.  On 512
+    rows at n = 50 the walk takes 0.85 ms against 6.6 ms by `breadth_chains`
+    per row; at n = 10^5 two chains by binary search take 0.65 ms against
+    20 ms by the count (2-vCPU x86-64, numpy 2.4, minimum of 9).
     """
-    pos_order, xs_sorted, w_sorted, redraw, tie = _relocated_rows(p, x)
+    _, pos_order, xs_sorted, w_sorted, redraw, tie, _, _ = _relocated_rows(p, x)
     flagged = redraw | tie
-    ends = _breadth_ends(w_sorted)
+    ends = _claim_ends(w_sorted)
     drawn = np.searchsorted(p._bounds, u, side="right")
     rank = np.argmax(pos_order == drawn[:, None], axis=1)
     rank[flagged] = 0
@@ -614,8 +606,8 @@ def _path_accumulate(tree: RootedTree, per_vertex: np.ndarray) -> np.ndarray:
 def _doubled_heights(parent: np.ndarray, root: int) -> np.ndarray:
     """Heights by pointer doubling: d[v] counts the edges from v up to
     anc[v], and each round adds d[anc] to d and replaces anc by anc[anc],
-    until every anc is the root.  Heights are integers, so the sums are exact and equal
-    the loop's, whatever the order of addition."""
+    until every anc is the root.  Heights are integers, so the sums are
+    exact whatever the order of addition."""
     d = np.ones(parent.size, dtype=np.int64)
     d[root] = 0
     anc = parent.copy()

@@ -275,20 +275,29 @@ def _spanning_summaries(p: PSeq, leaves: int, replicates: int, rng: RngState):
 
 
 # A replicate of the spanning side redraws until its J vertices are
-# distinct.  J draws from a vector of N entries are distinct with chance at
-# most prod_{i<J} (1 - i/N), the uniform vector's; below this chance a
-# replicate would redraw a million times or more on average.
+# distinct; below this chance it would redraw a million times or more.
 MIN_DISTINCT_CHANCE = 1e-6
 
 
 def check_spanning_leaves(p: PSeq, leaves: int) -> None:
     """Raise ValueError when `leaves` vertices drawn from p could never,
     or only after a million redraws or more, come up distinct and off the
-    root."""
+    root.  J draws are distinct with chance c_J = J! e_J(p), at most the
+    uniform vector's prod_{i<J} (1 - i/N), which screens first; c_J is built
+    over the prefixes of p, one cumsum per j, as
+    c_j(p_1..p_i) = c_j(p_1..p_{i-1}) + j p_i c_{j-1}(p_1..p_{i-1})."""
+    if leaves < 1:
+        raise ValueError(f"{leaves} leaves: a reduced tree needs at least one")
     if leaves > p.n - 1:
         raise ValueError(f"{leaves} leaves need as many distinct non-root vertices; "
                          f"the vector has {p.n - 1}")
     chance = float(np.prod(1.0 - np.arange(leaves) / p.n))
+    if chance >= MIN_DISTINCT_CHANCE and leaves > 1:
+        c = np.zeros(p.n)  # c_1 over the prefixes of lengths 0..N-1
+        np.cumsum(p.probs[:-1], out=c[1:])
+        for j in range(2, leaves):
+            np.cumsum(j * p.probs[:-1] * c[:-1], out=c[1:])
+        chance = leaves * float(p.probs @ c)
     if chance < MIN_DISTINCT_CHANCE:
         raise ValueError(f"{leaves} draws from {p.n} entries are distinct with chance at "
                          f"most {chance:.2g}, so a replicate would redraw "
@@ -405,6 +414,9 @@ def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0):
 def suite_pkey(ns=(1000, 10_000, 100_000), reps: int = 200, seed: int = 0):
     """Median uniform gap between scaled height and corrected excursion
     decreases strictly along the n ladder."""
+    if len(ns) < 2:
+        raise ValueError(f"the n ladder needs at least two rungs for a trend, got {len(ns)}")
+
     def reports(rng):
         medians = []
         for n in ns:

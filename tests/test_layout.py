@@ -13,7 +13,10 @@ builder, `icrt._reduced_tree`, called by exactly `sample_function_tree` and
 Every realisation of the particles is relocated once: `ptree.relocate` is
 called only by `sample_positions`, the excursion and both tree readings
 each take the one `Relocation`, and `ptree` calls neither `np.mod` nor
-`np.unique`.
+`np.unique`.  One routine relocates, `ptree._relocated_rows`, for one row
+and for many: `relocate` calls it and sorts or rotates nothing itself, the
+only other `argsort` in `ptree` is `corrected_excursion`'s, nothing calls
+`np.partition`, and heights have one rule, with no `DOUBLING_MIN_N` switch.
 The tree-law check reads its trees as batched rows: `verify._tree_law_reports`
 calls none of `sample_positions`, `breadth_tree` and `depth_tree`, and it is
 the one caller of the batched builder, `ptree._parent_rows`.
@@ -169,6 +172,22 @@ def test_one_relocation_per_realisation():
              and node.name in ("particle_excursion", "breadth_tree", "depth_tree")}
     assert arity == {"particle_excursion": 1, "breadth_tree": 1, "depth_tree": 1}
     assert [owner for owner, _, _ in _calls(trees["ptree"], ("mod", "unique"))] == []
+
+
+def test_one_relocation_routine():
+    # relocate is the one-row case of the row routine, so the rotation
+    # argument and the second-lowest left limit are written once
+    tree = _tree(PACKAGE / "ptree.py")
+    assert {owner for owner, _, _ in _calls(tree, ("argsort",))} == {
+        "_relocated_rows", "corrected_excursion"}
+    assert _calls(tree, ("partition",)) == []
+    assert "DOUBLING_MIN_N" not in _referenced_names(tree)
+    relocate = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "relocate")
+    own = {name for _, name, _ in _calls(relocate, ("_relocated_rows", "argsort", "sort",
+                                                    "concatenate", "take", "take_along_axis",
+                                                    "roll"))}
+    assert own == {"_relocated_rows"}
 
 
 def test_reduced_laws_compared_in_one_place():

@@ -328,6 +328,16 @@ class TestCadlagPath:
         _, s_y = y.jumps()
         assert sorted(s_x) == sorted(s_y)
 
+    def test_cyclic_shift_refuses_a_pivot_between_breakpoints(self):
+        x = CadlagPath(np.array([0.0, 0.3, 0.7, 1.0]),
+                       np.array([0.0, -0.1, 0.2, 0.0]),
+                       np.array([0.0, 0.3, 0.4, 0.0]))
+        with pytest.raises(ValueError, match="breakpoint"):
+            cyclic_shift(x, 0.5, 0.0)
+        # a pivot at 0 only subtracts the base
+        y = cyclic_shift(x, 0.0, 0.25)
+        assert y.times.tolist() == x.times.tolist() and y.right.tolist() == (x.right - 0.25).tolist()
+
 
 def union_grid_sup_distance(a, b):
     """Both paths read at every breakpoint of either, on the union grid.

@@ -34,6 +34,10 @@ from icrt_lab.verify import IDENTITY_TOL, REFERENCE_THETA, suite_identities
 from conftest import assert_same_bits, union_grid_combination
 
 
+ROW_OUTPUTS = ("positions", "pos_order", "xs_sorted", "w_sorted", "redraw", "tie", "repeat",
+               "collide")
+
+
 class FixedUniforms:
     """Stand-in for RngState whose generator returns the given draws of
     uniforms, one draw per call, or one per row of a (rows, n) size."""
@@ -285,6 +289,78 @@ class TestRelocation:
         calls = count_relocations(monkeypatch)
         _, passed = suite_identities(n=50, reps=4, seed=1)
         assert passed and calls == [4]
+
+    def test_position_zero_is_relocated(self):
+        # sample_positions redraws a zero; relocate itself accepts it
+        p = PSeq(np.array([0.5, 0.3, 0.2]))
+        rel = relocate(p, [0.0, 0.4, 0.7])
+        assert rel.root == 0 and rel.positions.tolist() == [0.0, 0.4, 0.7]
+        assert_same_relocation(sample_positions(p, FixedUniforms([0.0, 0.4, 0.7], GOOD3[1])),
+                               relocate(p, GOOD3[1]))
+
+    @pytest.mark.parametrize("p, x, error, message", [
+        # a repeat (particles 0 and 1) and a tie (left limits -0.1 at 0.1 and 0.3)
+        (PSeq(np.array([0.5, 0.3, 0.2])), [0.3, 0.3, 0.1], DuplicatePositionError,
+         "must be distinct"),
+        # a tie (left limits -0.1875 at 0.6875 and 0.9375) and a collision:
+        # 0.125 and 0.125 + 2^-55, less 0.6875, both round to -0.5625
+        (uniform_pseq(4), [0.125, 0.125 + 2 ** -55, 0.6875, 0.9375], TieError, "tie"),
+        # a zero is no excuse for a tie: the left limits at 0 and 0.5 are 0
+        (PSeq(np.array([0.5, 0.3, 0.2])), [0.0, 0.5, 0.7], TieError, "tie"),
+    ], ids=["repeat-before-tie", "tie-before-collision", "tie-with-zero"])
+    def test_first_failed_check_raises(self, p, x, error, message):
+        with pytest.raises(error, match=message):
+            relocate(p, x)
+
+
+# Rows that relocate to the minimizer at the first and at the last sorted
+# position (rotation by 0 and by n - 1), and rows that sample_positions
+# redraws or raises on, for p = (0.5, 0.3, 0.2) and the uniform p on 4.
+ROTATED3 = ([0.05, 0.5, 0.7], [1 - 2 ** -53, 0.1, 0.3])
+TIED3 = [0.1, 0.6, 0.9]  # all three left limits -0.1
+TIED_COLLIDING4 = [0.125, 0.125 + 2 ** -55, 0.6875, 0.9375]
+
+
+class TestRelocatedRows:
+    # one routine relocates one row and many: each row of a matrix has the
+    # bits of that row relocated alone, outcome flags included
+    def assert_rows_match_one_at_a_time(self, p, x):
+        rows = ptree._relocated_rows(p, x)
+        assert len(rows) == 8
+        for i in range(x.shape[0]):
+            one = ptree._relocated_rows(p, x[i:i + 1])
+            for name, many, single in zip(ROW_OUTPUTS, rows, one):
+                assert many.dtype == single.dtype, name
+                assert many[i].tobytes() == single[0].tobytes(), (name, i)
+        return rows
+
+    def test_hand_rows(self):
+        x = np.array([*ROTATED3, *REDRAWN3.values(), TIED3])
+        rows = self.assert_rows_match_one_at_a_time(P3, x)
+        assert rows[1][:2, 0].tolist() == [0, 0]  # the minimizer leads pos_order
+        assert [row.tolist() for row in rows[4:]] == [
+            [False, False, True, True, True, False],    # redraw: zero, repeat, collide
+            [False, False, True, False, False, True],   # tie, also on the zero row
+            [False, False, False, True, False, False],  # repeat
+            [False, False, False, True, True, False]]   # collide
+        x4 = np.array([TIED_COLLIDING4, [0.3, 0.4, 0.62, 0.97]])
+        flags = self.assert_rows_match_one_at_a_time(uniform_pseq(4), x4)[4:]
+        # a tie on a colliding row raises, as relocate does, instead of a redraw
+        assert [row.tolist() for row in flags] == [[False, False], [True, False],
+                                                  [False, False], [True, False]]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_random_rows(self, n):
+        vectors = [uniform_pseq(n), ranked_pseq(n)]
+        if n >= 50:
+            vectors.append(approximating_pseq(REFERENCE_THETA, n))
+        for k, p in enumerate(vectors):
+            x = RngState(38).child(n, k).gen.random((40, p.n))
+            rows = self.assert_rows_match_one_at_a_time(p, x)
+            for i in range(x.shape[0]):
+                rel = relocate(p, x[i])
+                for name in ("positions", "pos_order", "xs_sorted", "w_sorted"):
+                    assert getattr(rel, name).tobytes() == rows[ROW_OUTPUTS.index(name)][i].tobytes()
 
 
 # Hand-worked realization: p = (0.5, 0.3, 0.2), x = (0.05, 0.5, 0.7).
@@ -638,8 +714,7 @@ class TestExaminationScan:
 
 
 class TestHeights:
-    @pytest.mark.parametrize("n", [2, 50, ptree.DOUBLING_MIN_N - 1, ptree.DOUBLING_MIN_N,
-                                   1000, 100_000])
+    @pytest.mark.parametrize("n", [2, 50, 299, 300, 1000, 100_000])
     def test_doubling_matches_loop(self, n):
         vectors = [uniform_pseq(n)]
         if n >= 50:
@@ -670,7 +745,6 @@ class TestHeights:
         assert t.parent[labels[1:]].tolist() == labels[:-1].tolist()
         want = np.empty(n, dtype=np.int64)
         want[labels] = np.arange(n)
-        assert n >= ptree.DOUBLING_MIN_N
         assert t.heights.tobytes() == want.tobytes()
         assert ptree._path_accumulate(t, np.ones(n, dtype=np.int64)).tobytes() == want.tobytes()
 
@@ -994,7 +1068,8 @@ class TestParentRows:
         assert stopped.tolist() == [True] and ranks[0, 0] == 0
         no = np.zeros(1, dtype=bool)
         monkeypatch.setattr(ptree, "_relocated_rows", lambda p, x: (
-            rel.pos_order[None], rel.xs_sorted[None], rel.w_sorted[None], no, no))
+            rel.positions[None], rel.pos_order[None], rel.xs_sorted[None], rel.w_sorted[None],
+            no, no, no, no))
         with pytest.raises(DegenerateError, match="missed a particle"):
             ptree._parent_rows(P3, "depth", 1, RngState(0))
         assert ptree._parent_rows(P3, "breadth", 1, RngState(0)).tolist() == [
@@ -1180,7 +1255,8 @@ class TestDrawnHeights:
     def test_chain_that_misses_the_root_raises(self, monkeypatch):
         no = np.zeros(1, dtype=bool)
         monkeypatch.setattr(ptree, "_relocated_rows", lambda p, x: (
-            STUCK.pos_order[None], STUCK.xs_sorted[None], STUCK.w_sorted[None], no, no))
+            STUCK.positions[None], STUCK.pos_order[None], STUCK.xs_sorted[None],
+            STUCK.w_sorted[None], no, no, no, no))
         with pytest.raises(DegenerateError, match="does not reach the root"):
             ptree._drawn_height_rows(P3, np.zeros((1, 3)), np.array([0.6]))
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from icrt_lab import verify
-from icrt_lab.ptree import approximating_pseq
+from icrt_lab.ptree import PSeq, approximating_pseq
 from icrt_lab.rng import RngState
 from icrt_lab import stats
 
@@ -228,10 +228,53 @@ class TestRunChecks:
                 verify.suite_theorem2(n=50, replicates=3, leaves=leaves, marginal_reps=2)
 
     def test_theorem2_leaf_bound(self):
-        # J = 30 at n = 50 still runs: about 3e4 redraws per replicate or more
+        # J = 30 at n = 50 still runs: about 6e4 redraws per replicate
         p = approximating_pseq(verify.REFERENCE_THETA, 50)
         for leaves in (1, 2, 30, 33):
             verify.check_spanning_leaves(p, leaves)
         for leaves in (34, 52, 53, 60):
             with pytest.raises(ValueError):
                 verify.check_spanning_leaves(p, leaves)
+
+    def test_theorem2_exact_leaf_bound(self):
+        # at n = 200 (203 entries) J = 67 draws are distinct with chance
+        # 1.3e-6 and J = 68 with 8.5e-7, which the uniform vector's 3.0e-6
+        # would let through
+        p = approximating_pseq(verify.REFERENCE_THETA, 200)
+        verify.check_spanning_leaves(p, 67)
+        for leaves in (68, 70):
+            with pytest.raises(ValueError, match=f"{leaves} draws from 203 entries"):
+                verify.check_spanning_leaves(p, leaves)
+
+    def test_exact_leaf_chance_matches_enumeration(self, monkeypatch):
+        # J! e_J(p) against the sum over ordered distinct J-tuples, read from
+        # the refusal with the threshold between it and the uniform bound
+        # (0.75 at J = 2 and 0.375 at J = 3)
+        from itertools import permutations
+
+        p = PSeq(np.array([0.4, 0.3, 0.2, 0.1]))
+        for leaves, threshold in ((2, 0.72), (3, 0.35)):
+            want = sum(np.prod(p.probs[list(t)]) for t in permutations(range(4), leaves))
+            monkeypatch.setattr(verify, "MIN_DISTINCT_CHANCE", threshold)
+            with pytest.raises(ValueError, match=f"chance at most {want:.2g},"):
+                verify.check_spanning_leaves(p, leaves)
+            monkeypatch.setattr(verify, "MIN_DISTINCT_CHANCE", want - 1e-12)
+            verify.check_spanning_leaves(p, leaves)
+
+    @pytest.mark.parametrize("leaves", [0, -1])
+    def test_theorem2_rejects_no_leaves_before_sampling(self, leaves, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting the leaf count")
+
+        monkeypatch.setattr(verify, "_spanning_summaries", no_sampling)
+        with pytest.raises(ValueError, match=f"{leaves} leaves"):
+            verify.suite_theorem2(n=200, replicates=5, leaves=leaves, marginal_reps=5)
+
+    def test_pkey_rejects_a_one_rung_ladder_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before rejecting the ladder")
+
+        monkeypatch.setattr(verify, "exploration_gap", no_sampling)
+        for ns in ((1000,), ()):
+            with pytest.raises(ValueError, match="at least two rungs"):
+                verify.suite_pkey(ns=ns, reps=3)
