@@ -143,21 +143,23 @@ class RootedTree:
     @property
     def heights(self) -> np.ndarray:
         if self._heights is None:
-            self._heights = _doubled_heights(self.parent, self.root)
+            self._heights = _path_sum(self.parent, self.root,
+                                      np.ones(self.n, dtype=np.int64))
         return self._heights
 
     def validate(self) -> None:
-        """Acyclicity and single-root checks."""
-        if int((self.parent < 0).sum()) != 1 or self.parent[self.root] != -1:
+        """Single-root and visit-order checks: the order is a permutation of
+        [n] and every non-root vertex comes after its parent, so the root
+        comes first and every parent chain reaches it."""
+        parent, order = self.parent, self.order
+        if int((parent < 0).sum()) != 1 or parent[self.root] != -1:
             raise ValueError("tree must have exactly one root")
-        seen = np.zeros(self.n, dtype=bool)
-        seen[self.root] = True
-        for v in self.order[1:].tolist():
-            if not seen[self.parent[v]] or seen[v]:
-                raise ValueError("visit order inconsistent with parent array")
-            seen[v] = True
-        if not seen.all():
-            raise ValueError("not all vertices reached")
+        rank = np.full(self.n, self.n)
+        rank[order] = np.arange(order.size)
+        nonroot = parent >= 0
+        if (order.size != self.n or (rank[order] != np.arange(self.n)).any()
+                or (rank[parent[nonroot]] >= rank[nonroot]).any()):
+            raise ValueError("visit order inconsistent with parent array")
 
 
 @dataclass(frozen=True, eq=False)
@@ -590,25 +592,14 @@ def _require(tree: RootedTree, kind: str) -> None:
         raise ValueError(f"operation requires a {kind}-order tree")
 
 
-def _path_accumulate(tree: RootedTree, per_vertex: np.ndarray) -> np.ndarray:
-    """acc[v] = sum of per_vertex over the path from the root's child to v,
-    in the dtype of per_vertex.  Integer weights add as Python ints, which
-    small values do without allocating; a float sum starts from int 0,
-    which adds exactly."""
-    acc = [0] * tree.n
-    par = tree.parent.tolist()
-    pv = per_vertex.tolist()
-    for v in tree.order[1:].tolist():
-        acc[v] = acc[par[v]] + pv[v]
-    return np.asarray(acc, dtype=per_vertex.dtype)
-
-
-def _doubled_heights(parent: np.ndarray, root: int) -> np.ndarray:
-    """Heights by pointer doubling: d[v] counts the edges from v up to
-    anc[v], and each round adds d[anc] to d and replaces anc by anc[anc],
-    until every anc is the root.  Heights are integers, so the sums are
-    exact whatever the order of addition."""
-    d = np.ones(parent.size, dtype=np.int64)
+def _path_sum(parent: np.ndarray, root: int, weight: np.ndarray) -> np.ndarray:
+    """Per vertex v, the sum of `weight` over the path from the root's child
+    to v (0 at the root), in weight's dtype, by pointer doubling: d[v] sums
+    the weights from v up to, not including, anc[v], and each round adds
+    d[anc] to d and replaces anc by anc[anc], until every anc is the root.
+    Integer sums are exact whatever the order of addition; float sums may
+    differ from a root-down accumulation in the last bits."""
+    d = weight.copy()
     d[root] = 0
     anc = parent.copy()
     anc[root] = root
@@ -629,7 +620,7 @@ def _pending_mass(tree: RootedTree, w: np.ndarray) -> np.ndarray:
     after = np.zeros(tree.n)
     nonroot = pos_order[1:]
     after[nonroot] = c[tree.kid_end[tree.parent[nonroot]]] - c[2:]
-    return _path_accumulate(tree, after) + own
+    return _path_sum(tree.parent, tree.root, after) + own
 
 
 def pending_mass_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
@@ -737,25 +728,25 @@ def corrected_excursion(tree: RootedTree, exc: CadlagPath, p: PSeq) -> CadlagPat
     return subtract_on_windows(exc, [ramp], [(float(t_u[0]), 1.0)])
 
 
-def corrected_pending_error(tree: RootedTree, exc: CadlagPath, p: PSeq):
+def corrected_pending_error(tree: RootedTree, exc: CadlagPath, p: PSeq) -> float:
     """Two-route check of the corrected excursion at examination end times.
 
-    Valid only when no heavy vertex has a heavy child (returns None
-    otherwise).  The tree-side expression is the pending mass under weights
-    that are 0 at the children of heavy vertices and, at each heavy vertex,
-    its own weight net of its children's (the ramp of a pending heavy
-    vertex has not started delivering, so its children's mass is removed
-    while its own weight still counts); every other vertex keeps p_v.
+    The tree-side expression is the pending mass under weights that are 0
+    at every child of a heavy vertex, less, at each heavy vertex, its
+    children's mass: the ramp of a pending heavy vertex has not started
+    delivering, so its children's mass is removed while its own weight
+    still counts, unless it is itself a heavy vertex's child, whose ramp
+    carries it.  Every other vertex keeps p_v.
     """
     _require(tree, "depth")
     probs = p.probs
     w = probs.copy()
+    kid_mass = np.zeros(p.n_heavy)
     for i in range(p.n_heavy):
         kids = tree.children(i)
-        if (kids < p.n_heavy).any():
-            return None
         w[kids] = 0.0
-        w[i] = probs[i] - probs[kids].sum()
+        kid_mass[i] = probs[kids].sum()
+    w[: p.n_heavy] -= kid_mass
     rhs = _pending_mass(tree, w)
     g = corrected_excursion(tree, exc, p)
     lhs = g.value(tree.e_times)

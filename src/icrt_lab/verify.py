@@ -117,7 +117,6 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0):
 
     def build(rng):
         errs = {name: [] for name in names}
-        hypothesis_skips = 0
         for r in range(reps):
             p = p_uniform if r % 2 == 0 else p_heavy
             rel = sample_positions(p, _stream(rng, "identities", r))
@@ -131,11 +130,7 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0):
             dt.validate()
             errs["pending"].append(pending_mass_error(dt, exc, p))
             errs["claim"].append(max(claim_margin(dt), 0.0))
-            ce = corrected_pending_error(dt, exc, p)
-            if ce is None:
-                hypothesis_skips += 1
-            else:
-                errs["corrected"].append(ce)
+            errs["corrected"].append(corrected_pending_error(dt, exc, p))
         reports = []
         for name in names:
             worst = _amax(errs[name])
@@ -143,8 +138,7 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0):
             reports.append(TestReport(
                 suite=f"identities/{name}", statistic=worst, p_value=1.0 if ok else 0.0,
                 passed=ok, n_samples=len(errs[name]),
-                extra={"tol": IDENTITY_TOL, "n": n,
-                       "hypothesis_skips": hypothesis_skips if name == "corrected" else 0}))
+                extra={"tol": IDENTITY_TOL, "n": n}))
         return reports
 
     return _run_checks(seed, [build], retry=False)

@@ -33,9 +33,9 @@ def test_criterion_1_exact_identities():
     t0 = time.time()
     reports, ok = suite_identities(n=1000, reps=100, seed=0)
     worst = max(r.statistic for r in reports)
-    skips = max(r.extra.get("hypothesis_skips", 0) for r in reports)
+    corrected = next(r.n_samples for r in reports if r.suite == "identities/corrected")
     _report("criterion-1 exact-identities", ok, t0,
-            f"max_err={worst:.3e} tol=1e-9 hypothesis_skips={skips}")
+            f"max_err={worst:.3e} tol=1e-9 corrected_trees={corrected}")
     assert ok, [r.to_json() for r in reports if not r.passed]
 
 

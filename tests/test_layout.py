@@ -24,6 +24,13 @@ The drawn vertices of the spanning side and of the repeat-time heights are
 read from their ancestor chains: `verify._spanning_summaries`,
 `suite_repeat_time` and `_drawn_heights` name no `breadth_tree` and read no
 `.heights`, and `icrt` does not name `breadth_tree`.
+Heights and pending masses are path sums with one rule: `ptree._path_sum`,
+one pointer doubling over any per-vertex weight, is called by exactly
+`RootedTree.heights` and `_pending_mass`; `ptree` defines no root-down
+`_path_accumulate` loop, and neither `_pending_mass` nor
+`RootedTree.validate` holds a Python loop.  The corrected pending identity
+is checked on every tree: `corrected_pending_error` never returns None,
+and `verify` never names a `hypothesis_skips` count.
 `verify` summarises every reduced tree in one function, `_summary`, and
 compares two reduced-tree laws in one function, `_reduced_law_reports`,
 which alone holds the one-leaf rule.
@@ -229,6 +236,25 @@ def test_drawn_vertices_read_their_chains():
         assert "breadth_tree" not in _referenced_names(node) and "heights" not in attributes, name
     assert "_drawn_heights" in _referenced_names(functions["suite_repeat_time"])
     assert "breadth_tree" not in _referenced_names(trees["icrt"])
+
+
+def test_one_path_sum_rule_and_no_skipped_trees():
+    # heights and pending masses share one loop-free path sum, and the
+    # corrected identity has no realisation it declines to check
+    trees = {path.stem: _tree(path) for path in MODULES}
+    ptree = trees["ptree"]
+    functions = {node.name: node for node in ast.walk(ptree) if isinstance(node, ast.FunctionDef)}
+    assert "_path_accumulate" not in functions
+    assert {owner for owner, _, _ in _calls(ptree, ("_path_sum",))} == {"heights", "_pending_mass"}
+    for name in ("validate", "_pending_mass"):
+        loops = [n for n in ast.walk(functions[name]) if isinstance(n, (ast.For, ast.While))]
+        assert loops == [], name
+    returns = [n.value for n in ast.walk(functions["corrected_pending_error"])
+               if isinstance(n, ast.Return)]
+    assert returns and not any(v is None or (isinstance(v, ast.Constant) and v.value is None)
+                               for v in returns)
+    strings = {n.value for n in ast.walk(trees["verify"]) if isinstance(n, ast.Constant)}
+    assert "hypothesis_skips" not in _referenced_names(trees["verify"]) | strings
 
 
 # Public names (`name` or `Class.method`) allowed to have no caller outside

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -511,6 +513,31 @@ class TestHandOnIntervalEnd:
         assert pending_mass_error(t, exc, self.p) <= 1e-12
 
 
+class TestValidateRefuses:
+    """Hand-made bad trees, each a change to TestHandOnIntervalEnd's tree
+    (root 1, parent (3, -1, 3, 1), order (1, 3, 0, 2))."""
+
+    tree = depth_tree(TestHandOnIntervalEnd.rel)
+
+    def test_good_tree_passes(self):
+        self.tree.validate()
+
+    def test_two_roots(self):
+        bad = replace(self.tree, parent=np.array([3, -1, -1, 1]))
+        with pytest.raises(ValueError, match="exactly one root"):
+            bad.validate()
+
+    def test_child_visited_before_its_parent(self):
+        bad = replace(self.tree, order=np.array([1, 0, 3, 2]))
+        with pytest.raises(ValueError, match="visit order inconsistent"):
+            bad.validate()
+
+    def test_vertex_visited_twice_and_one_never(self):
+        bad = replace(self.tree, order=np.array([1, 3, 0, 0]))
+        with pytest.raises(ValueError, match="visit order inconsistent"):
+            bad.validate()
+
+
 REFERENCE_TREES = {"breadth": (breadth_tree, reference_breadth_tree),
                    "depth": (depth_tree, reference_depth_tree)}
 
@@ -630,12 +657,50 @@ class TestHandLastChildOfHeavy:
         assert corrected_pending_error(t, exc, self.p) <= 1e-12
 
 
+# Dyadic realization in which a heavy vertex is a heavy vertex's child:
+# p = (0.375, 0.25, 0.125, 0.125, 0.125) with vertices 0 and 1 heavy,
+# x = (1, 2, 3, 4, 8)/16.  The root is vertex 0 with children (1, 2, 3);
+# vertex 1 has child 4.  Depth order (0, 1, 4, 2, 3), examination ends
+# (0.375, 0.625, 0.875, 1.0, 0.75) indexed by vertex.  The corrected
+# weights are 0 at every heavy vertex's child, less each heavy vertex's
+# children's mass: (0.375 - 0.5, 0 - 0.125, 0, 0, 0), so the corrected
+# pending masses are (-0.125, 0, 0, 0, 0).  By the walk, at e(0) = 0.375 the
+# excursion is 0.875 - 0.375 = 0.5 and the ramps of 1, 2, 3 and 4 still
+# carry 0.25 + 0.125 + 0.125 + 0.125, which gives -0.125; at every later
+# end the excursion equals the ramps still pending.
+class TestHandHeavyChildOfHeavy:
+    p = PSeq(np.array([0.375, 0.25, 0.125, 0.125, 0.125]), n_heavy=2)
+    x = np.array([1, 2, 3, 4, 8]) / 16
+    rel = relocate(p, x)
+    corrected = [-0.125, 0.0, 0.0, 0.0, 0.0]
+
+    def test_structure(self):
+        t = depth_tree(self.rel)
+        assert t.root == 0
+        assert t.parent.tolist() == [-1, 0, 0, 0, 1]
+        assert t.order.tolist() == [0, 1, 4, 2, 3]
+        assert t.e_times.tolist() == [0.375, 0.625, 0.875, 1.0, 0.75]
+
+    def test_corrected_pending_masses_by_hand(self):
+        t = depth_tree(self.rel)
+        weights = np.array([-0.125, -0.125, 0.0, 0.0, 0.0])
+        assert ptree._pending_mass(t, weights).tolist() == self.corrected
+        g = corrected_excursion(t, particle_excursion(self.rel), self.p)
+        assert [g.value(e) for e in t.e_times] == pytest.approx(self.corrected, abs=1e-12)
+
+    def test_two_route_agreement(self):
+        t = depth_tree(self.rel)
+        exc = particle_excursion(self.rel)
+        assert corrected_pending_error(t, exc, self.p) <= IDENTITY_TOL
+        assert corrected_pending_error(t, exc.shift_values(1e-6), self.p) > IDENTITY_TOL
+
+
 class TestCorrectedExcursionOracle:
     """corrected_excursion against the per-child event loop combined on the
     whole union grid, bit for bit."""
 
     @pytest.mark.parametrize("cls", [TestHandFourHeavy, TestPendingHeavySign,
-                                     TestHandLastChildOfHeavy])
+                                     TestHandLastChildOfHeavy, TestHandHeavyChildOfHeavy])
     def test_hand_realizations(self, cls):
         t = depth_tree(cls.rel)
         exc = particle_excursion(cls.rel)
@@ -713,6 +778,43 @@ class TestExaminationScan:
             depth_tree(rel)
 
 
+def path_accumulate(tree, per_vertex):
+    """acc[v] = sum of per_vertex over the path from the root's child to v,
+    in the dtype of per_vertex, one vertex at a time in visit order, parent
+    before child.  Integer weights add as Python ints; a float sum starts
+    from int 0, which adds exactly.  Test-only oracle for ptree._path_sum."""
+    acc = [0] * tree.n
+    par = tree.parent.tolist()
+    pv = per_vertex.tolist()
+    for v in tree.order[1:].tolist():
+        acc[v] = acc[par[v]] + pv[v]
+    return np.asarray(acc, dtype=per_vertex.dtype)
+
+
+def pending_mass_oracle(tree, w):
+    """ptree._pending_mass with its path sums accumulated root-down by
+    path_accumulate.  Test-only oracle."""
+    c = np.concatenate([[0.0], np.cumsum(w[tree.pos_order])])
+    own = c[tree.kid_end] - c[tree.kid_start]
+    after = np.zeros(tree.n)
+    nonroot = tree.pos_order[1:]
+    after[nonroot] = c[tree.kid_end[tree.parent[nonroot]]] - c[2:]
+    return path_accumulate(tree, after) + own
+
+
+def assert_path_sums_match_loop(t, p):
+    """The one path-sum routine against the root-down loop: integer heights
+    bit for bit, float pending masses within 1e-15."""
+    loop = path_accumulate(t, np.ones(t.n, dtype=np.int64))
+    doubled = ptree._path_sum(t.parent, t.root, np.ones(t.n, dtype=np.int64))
+    assert doubled.dtype == loop.dtype
+    assert doubled.tobytes() == loop.tobytes()
+    assert t.heights.tobytes() == loop.tobytes()
+    pending = ptree._pending_mass(t, p.probs)
+    assert pending.dtype == np.float64
+    assert np.abs(pending - pending_mass_oracle(t, p.probs)).max() <= 1e-15
+
+
 class TestHeights:
     @pytest.mark.parametrize("n", [2, 50, 299, 300, 1000, 100_000])
     def test_doubling_matches_loop(self, n):
@@ -723,12 +825,7 @@ class TestHeights:
             for k in range(2):
                 rel = sample_positions(p, RngState(43).child(k))
                 for build in (breadth_tree, depth_tree):
-                    t = build(rel)
-                    loop = ptree._path_accumulate(t, np.ones(t.n, dtype=np.int64))
-                    doubled = ptree._doubled_heights(t.parent, t.root)
-                    assert doubled.dtype == loop.dtype
-                    assert doubled.tobytes() == loop.tobytes()
-                    assert t.heights.tobytes() == loop.tobytes()
+                    assert_path_sums_match_loop(build(rel), p)
 
     @pytest.mark.parametrize("build", [breadth_tree, depth_tree])
     def test_chain(self, build):
@@ -746,7 +843,7 @@ class TestHeights:
         want = np.empty(n, dtype=np.int64)
         want[labels] = np.arange(n)
         assert t.heights.tobytes() == want.tobytes()
-        assert ptree._path_accumulate(t, np.ones(n, dtype=np.int64)).tobytes() == want.tobytes()
+        assert_path_sums_match_loop(t, uniform_pseq(n))
 
 
 def parent_chain(tree, v):
@@ -841,9 +938,7 @@ class TestRandomRealizationIdentities:
             assert claim_margin(bt) < 0.0 and claim_margin(dt) < 0.0
             assert generation_error(bt, exc, p) <= IDENTITY_TOL
             assert width_error(bt, exc, p) <= IDENTITY_TOL
-            ce = corrected_pending_error(dt, exc, p)
-            if ce is not None:
-                assert ce <= IDENTITY_TOL
+            assert corrected_pending_error(dt, exc, p) <= IDENTITY_TOL
 
     def test_exploration_steps(self, reference_theta):
         # height increments in examination order: +1 on descent, any
@@ -913,20 +1008,14 @@ class TestExactChecksCanFail:
     def test_holds_on_the_walk_and_fails_on_a_shifted_one(self, error, build, vector):
         n = 40
         p = uniform_pseq(n) if vector == "uniform" else approximating_pseq(REFERENCE_THETA, n)
-        checked = 0
         for k in range(10):
             rel = sample_positions(p, RngState(32).child(k))
             exc = particle_excursion(rel)
             tree = build(rel)
-            err = error(tree, exc, p)
-            if err is None:  # corrected: a heavy vertex has a heavy child
-                continue
-            checked += 1
-            assert err <= IDENTITY_TOL
+            assert error(tree, exc, p) <= IDENTITY_TOL
             assert error(tree, exc.shift_values(1e-6), p) > IDENTITY_TOL
-        assert checked >= 1
 
-    def test_corrected_skips_exactly_when_a_heavy_vertex_has_a_heavy_child(self):
+    def test_corrected_holds_on_every_tree_heavy_child_or_not(self):
         p = approximating_pseq(REFERENCE_THETA, 20)
         outcomes = set()
         for k in range(200):
@@ -934,9 +1023,8 @@ class TestExactChecksCanFail:
             exc = particle_excursion(rel)
             tree = depth_tree(rel)
             par = tree.parent[: p.n_heavy]
-            heavy_child = bool(((par >= 0) & (par < p.n_heavy)).any())
-            assert (corrected_pending_error(tree, exc, p) is None) == heavy_child
-            outcomes.add(heavy_child)
+            outcomes.add(bool(((par >= 0) & (par < p.n_heavy)).any()))
+            assert corrected_pending_error(tree, exc, p) <= IDENTITY_TOL
         assert outcomes == {True, False}
 
 
