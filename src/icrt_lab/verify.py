@@ -3,9 +3,12 @@
 Each suite returns (reports, passed) from one replicate helper,
 `_run_checks`.  Every stream is named off `RngState(seed)` by (attempt,
 suite/side, replicate, rejection), so the samples of a comparison never
-share one.  A failing statistical check is re-run once on attempt 1 at the
-same seed (a multiple-testing guard); both outcomes are logged and the
-retry decides.  Exact checks are not retried.
+share one.  A side's replicate streams are opened by `_streams`, a block
+of keys per hash pass; `_stream` opens one, for a side drawn from a single
+stream, a rejection redraw, or a row recomputed on the single path.  A
+failing statistical check is re-run once on attempt 1 at the same seed (a
+multiple-testing guard); both outcomes are logged and the retry decides.
+Exact checks are not retried.
 """
 
 from __future__ import annotations
@@ -72,6 +75,21 @@ def _stream(rng: RngState, side: str, k: int = 0, rejection: int = 0) -> RngStat
     return rng.child(zlib.crc32(side.encode()), k, rejection)
 
 
+# Streams per hash pass of `_streams`: the keys in hand stay one block
+# whatever the replicate count.
+STREAM_BLOCK = 512
+
+
+def _streams(rng: RngState, side: str, replicates: int):
+    """Yield `_stream(rng, side, k)` for k = 0, ..., replicates - 1, the
+    same streams, hashed STREAM_BLOCK keys at a time."""
+    name = zlib.crc32(side.encode())
+    for start in range(0, replicates, STREAM_BLOCK):
+        ks = np.arange(start, min(start + STREAM_BLOCK, replicates))
+        keys = np.stack([np.full_like(ks, name), ks, np.zeros_like(ks)], axis=1)
+        yield from rng.children(keys)
+
+
 def _run_checks(seed: int, builds, retry: bool = True):
     """Run `builds` at `seed`.
 
@@ -117,9 +135,9 @@ def suite_identities(n: int = 1000, reps: int = 100, seed: int = 0):
 
     def build(rng):
         errs = {name: [] for name in names}
-        for r in range(reps):
+        for r, stream in enumerate(_streams(rng, "identities", reps)):
             p = p_uniform if r % 2 == 0 else p_heavy
-            rel = sample_positions(p, _stream(rng, "identities", r))
+            rel = sample_positions(p, stream)
             exc = particle_excursion(rel)
             bt = breadth_tree(rel)
             bt.validate()
@@ -206,8 +224,7 @@ def _function_tree_summaries(theta, grid: int, replicates: int, leaves_list,
     scale = 2.0 / theta.theta0 ** 2
     shift = scale * MONITORING_BETA / np.sqrt(grid)
     out = {j: np.empty((replicates, 2)) for j in leaves_list}
-    for k in range(replicates):
-        stream = _stream(rng, side, k)
+    for k, stream in enumerate(_streams(rng, side, replicates)):
         path = sample_reflected(theta, grid, stream).scale_values(scale)
         for j in leaves_list:
             u = stream.gen.random(j)
@@ -218,8 +235,8 @@ def _function_tree_summaries(theta, grid: int, replicates: int, leaves_list,
 def _line_breaking_summaries(theta, leaves: int, replicates: int, rng: RngState,
                              side: str):
     out = np.empty((replicates, 2))
-    for k in range(replicates):
-        out[k] = _summary(line_breaking_tree(theta, leaves, _stream(rng, side, k)))
+    for k, stream in enumerate(_streams(rng, side, replicates)):
+        out[k] = _summary(line_breaking_tree(theta, leaves, stream))
     return out
 
 
@@ -249,10 +266,10 @@ def _spanning_summaries(p: PSeq, leaves: int, replicates: int, rng: RngState):
     sigma = p.sigma
     out = np.empty((replicates, 2))
     rejects = 0
-    for k in range(replicates):
+    side = "theorem2/spanning"
+    for k, stream in enumerate(_streams(rng, side, replicates)):
         rejection = 0
         while True:
-            stream = _stream(rng, "theorem2/spanning", k, rejection)
             try:
                 # rel stays bound until the next draw replaces it: freed at
                 # once, its arrays would let the allocator release the heap
@@ -264,6 +281,7 @@ def _spanning_summaries(p: PSeq, leaves: int, replicates: int, rng: RngState):
             except (DuplicateSampleError, DegenerateError, TieError):
                 rejects += 1
                 rejection += 1
+                stream = _stream(rng, side, k, rejection)
         out[k] = _summary(et.scale_lengths(sigma))
     return out, rejects
 
@@ -321,15 +339,15 @@ def suite_theorem2(n: int = 100_000, replicates: int = 4000, leaves: int = 2,
         pm = approximating_pseq(REFERENCE_THETA, 10_000)
         marginal_grid = 2 ** 12
         widths = np.empty(marginal_reps)
-        for k in range(marginal_reps):
-            stream = _stream(rng, "theorem2/width-marginal/tree", k)
+        for k, stream in enumerate(_streams(rng, "theorem2/width-marginal/tree",
+                                            marginal_reps)):
             tr = breadth_tree(sample_positions(pm, stream))
             widths[k] = width_at_quantile(*width_profile(tr, pm), u_star) / pm.sigma
         marginals = np.empty(marginal_reps)
         eps = MONITORING_BETA / np.sqrt(marginal_grid)  # grid-minimum re-base offset
-        for k in range(marginal_reps):
-            exc = sample_excursion(REFERENCE_THETA, marginal_grid,
-                                   _stream(rng, "theorem2/width-marginal/excursion", k))
+        for k, stream in enumerate(_streams(rng, "theorem2/width-marginal/excursion",
+                                            marginal_reps)):
+            exc = sample_excursion(REFERENCE_THETA, marginal_grid, stream)
             marginals[k] = exc.value(u_star) + eps
         return [ks_two_sample(widths, marginals, suite="theorem2/width-marginal")]
 
@@ -360,11 +378,13 @@ def jeulin_check(m: int, n_samples: int, rng: RngState) -> TestReport:
     level = u / 2.0 - eps
     side_a = np.empty(n_samples)
     side_b = np.empty(n_samples)
-    for k in range(n_samples):
-        exc = sample_excursion(BROWNIAN_THETA, m, _stream(rng, "jeulin/occupation", k))
+    sides = zip(_streams(rng, "jeulin/occupation", n_samples),
+                _streams(rng, "jeulin/time-change", n_samples))
+    for k, (occupation, time_change) in enumerate(sides):
+        exc = sample_excursion(BROWNIAN_THETA, m, occupation)
         occ = time_in_band(exc, level - band / 2.0, level + band / 2.0) / band
         side_a[k] = 0.5 * occ
-        exc2 = sample_excursion(BROWNIAN_THETA, m, _stream(rng, "jeulin/time-change", k))
+        exc2 = sample_excursion(BROWNIAN_THETA, m, time_change)
         side_b[k] = excursion_time_change(exc2, shift=eps).value_at(u)
     rep = ks_two_sample(side_a, side_b, suite="jeulin")
     rep.extra.update({"u": u, "grid": m, "band": band, "shift": eps})
@@ -382,12 +402,12 @@ def suite_jeulin(grid: int = 2 ** 14, replicates: int = 5000, seed: int = 0):
     def mean_reports(rng):
         totals = np.empty(replicates)
         maxes = np.empty(replicates)
-        for k in range(replicates):
-            e1 = sample_excursion(BROWNIAN_THETA, grid,
-                                  _stream(rng, "jeulin/height-mean/integral", k))
+        sides = zip(_streams(rng, "jeulin/height-mean/integral", replicates),
+                    _streams(rng, "jeulin/height-mean/max", replicates))
+        for k, (integral, maximum) in enumerate(sides):
+            e1 = sample_excursion(BROWNIAN_THETA, grid, integral)
             totals[k] = excursion_time_change(e1, shift=eps).total
-            e2 = sample_excursion(BROWNIAN_THETA, grid,
-                                  _stream(rng, "jeulin/height-mean/max", k))
+            e2 = sample_excursion(BROWNIAN_THETA, grid, maximum)
             maxes[k] = 2.0 * (e2.max_value() + eps)
         diff = abs(totals.mean() - maxes.mean())
         se = float(np.sqrt(totals.var(ddof=1) / replicates + maxes.var(ddof=1) / replicates))
@@ -415,7 +435,7 @@ def suite_pkey(ns=(1000, 10_000, 100_000), reps: int = 200, seed: int = 0):
         medians = []
         for n in ns:
             p = approximating_pseq(REFERENCE_THETA, n)
-            gaps = [exploration_gap(p, _stream(rng, f"pkey/n{n}", k)) for k in range(reps)]
+            gaps = [exploration_gap(p, stream) for stream in _streams(rng, f"pkey/n{n}", reps)]
             medians.append(float(np.median(gaps)))
         ok = all(medians[i + 1] < medians[i] for i in range(len(medians) - 1))
         return [TestReport(suite="pkey/median-trend",
@@ -441,8 +461,7 @@ def suite_unifconv(reps: int = 100, grid: int = 2 ** 12, seed: int = 0):
     def reports(rng):
         worst_excess = -np.inf
         mono_fail = 0
-        for r in range(reps):
-            stream = _stream(rng, "unifconv", r)
+        for stream in _streams(rng, "unifconv", reps):
             bridge = sample_brownian_bridge(grid, stream)
             us = [float(stream.gen.uniform()) for _ in atoms]
             dists = []
@@ -476,18 +495,20 @@ def _drawn_heights(p: PSeq, replicates: int, rng: RngState) -> np.ndarray:
     k: the positions by `sample_positions`, then the vertex by `p.draw`.
 
     Replicates are drawn HEIGHT_BLOCK rows at a time, each row from its own
-    stream, and every row of a block walks its vertex's ancestor chain at
-    once (`_drawn_height_rows`).  A row the single path redraws or raises
-    on is recomputed by it from a fresh stream of the same name.
+    stream (opened by `_streams`), and every row of a block walks its
+    vertex's ancestor chain at once (`_drawn_height_rows`).  A row the
+    single path redraws or raises on is recomputed by it from a fresh
+    stream of the same name.
     """
     side = "repeat-time/height"
     out = np.empty(replicates, dtype=np.int64)
+    streams = _streams(rng, side, replicates)
     for start in range(0, replicates, HEIGHT_BLOCK):
         ks = range(start, min(start + HEIGHT_BLOCK, replicates))
         x = np.empty((len(ks), p.n))
         u = np.empty(len(ks))
-        for i, k in enumerate(ks):
-            gen = _stream(rng, side, k).gen
+        for i in range(len(ks)):
+            gen = next(streams).gen
             x[i] = gen.random(p.n)
             u[i] = gen.random()
         heights, flagged = _drawn_height_rows(p, x, u)
@@ -521,9 +542,9 @@ def suite_y_oracle(reps: int = 100, grid: int = 2 ** 12, seed: int = 0):
     def reports(rng):
         worst = 0.0
         ss = (np.arange(100) + 0.5) / 100
-        for r in range(reps):
+        for r, stream in enumerate(_streams(rng, "y-oracle", reps)):
             theta = BROWNIAN_THETA if r % 2 == 0 else REFERENCE_THETA
-            exc = sample_excursion(theta, grid, _stream(rng, "y-oracle", r))
+            exc = sample_excursion(theta, grid, stream)
             y = reflected_excursion(exc)
             for s in ss:
                 worst = max(worst, abs(y.value(s) - infimum_range_measure(exc, float(s))))

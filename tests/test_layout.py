@@ -3,7 +3,14 @@
 `stats` is a leaf: it holds the tests and path functionals and imports no
 sampler.  No module except the package's `__init__` (which re-exports)
 imports a name it does not use.  `verify` builds `RngState` in one
-function and names its streams, never numbering them by offsets.
+function and names its streams, never numbering them by offsets, whether
+it opens one stream or a block.  No module names numpy's `SeedSequence`:
+`rng` reproduces its hash, for one key and for a block of keys.  A side's
+replicate streams are opened by `verify._streams`, the one caller of
+`RngState.children`, and `_stream` opens single streams only: those of
+the attempt-level sides (`_tree_law_reports`, `suite_repeat_time`'s
+build), the rejection redraws of `_spanning_summaries` and the flagged
+rows `_drawn_heights` recomputes.
 Every path difference goes through one window-only routine,
 `paths.subtract_on_windows`, called by `reflected_excursion`,
 `truncated_coupling` and `corrected_excursion`; no module defines or calls
@@ -89,7 +96,7 @@ def test_no_unused_imports(path):
     assert _unused_imports(_tree(path)) == []
 
 
-RNG_CALLS = ("RngState", "child", "_stream")
+RNG_CALLS = ("RngState", "child", "_stream", "_streams", "children")
 
 
 def _owned_nodes(tree: ast.Module):
@@ -137,6 +144,39 @@ def test_verify_streams_have_no_integer_offsets():
                                                and type(node.value) is int):
                 bad.append(f"{name}(...) in {owner}, line {call.lineno}")
     assert bad == []
+
+
+def _call_paths(tree: ast.Module, names) -> list[str]:
+    """The dotted path of enclosing functions (`suite_repeat_time.reports`)
+    of every call of a name or attribute in `names`; '' at module level."""
+    out = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) in names:
+                out.append(".".join(path))
+            visit(child, path)
+
+    visit(tree, ())
+    return out
+
+
+def test_streams_are_hashed_in_blocks():
+    # numpy's seed hash lives in rng alone; every replicate loop opens its
+    # streams a block at a time, and one stream is opened only where a side
+    # has one stream, a replicate is redrawn or a flagged row is recomputed
+    for path in MODULES + [PACKAGE / "__init__.py"]:
+        assert "SeedSequence" not in _referenced_names(_tree(path)), path.name
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert sorted(_call_paths(trees["verify"], ("_stream",))) == [
+        "_drawn_heights", "_spanning_summaries", "_tree_law_reports",
+        "suite_repeat_time.reports"]
+    # (in ptree and icrt, `children` are a tree's)
+    assert _call_paths(trees["verify"], ("children",)) == ["_streams"]
 
 
 def test_reflect_subtracts_components_in_one_place():
@@ -259,7 +299,9 @@ def test_one_path_sum_rule_and_no_skipped_trees():
 
 # Public names (`name` or `Class.method`) allowed to have no caller outside
 # the tests: name -> reason.
-UNCALLED_ALLOWED: dict[str, str] = {}
+UNCALLED_ALLOWED: dict[str, str] = {
+    "_Words.generate_state": "numpy's PCG64 calls it for its seed words",
+}
 
 
 def _referenced_names(node: ast.AST) -> set[str]:

@@ -9,6 +9,7 @@ from icrt_lab.errors import JumpCollisionError, NormError, SignError, ZeroTheta0
 from icrt_lab.paths import (
     CadlagPath,
     _ei_jump_values,
+    _left_limit_and_value,
     build_ei_bridge,
     continuous_path,
     cyclic_shift,
@@ -361,6 +362,19 @@ def random_path(gen, pool):
 
 
 class TestSupDistance:
+    def test_one_search_reads_both_sides_bitwise(self):
+        # at every breakpoint (the first and the last included), between
+        # them, and on both sides outside the domain
+        gen = np.random.default_rng(7)
+        for _ in range(3000):
+            path = random_path(gen, gen.random(3))
+            t = path.times
+            u = np.concatenate([t, (t[:-1] + t[1:]) / 2, gen.random(8) * 1.6 - 0.3,
+                                [t[0] - 0.5, t[-1] + 0.5]])
+            left, value = _left_limit_and_value(path, u)
+            assert left.tobytes() == path.left_limit(u).tobytes()
+            assert value.tobytes() == path.value(u).tobytes()
+
     def test_matches_union_grid_bitwise(self):
         gen = np.random.default_rng(2024)
         for _ in range(1500):

@@ -1275,19 +1275,29 @@ def heights_or_error(heights, p, replicates, seed):
         return TieError, str(e)
 
 
-REAL_STREAM = verify._stream
+REAL_STREAM, REAL_STREAMS = verify._stream, verify._streams
 
 
 def force_rows(monkeypatch, rows):
     """Make replicate k of the repeat-time heights draw rows[k], then the
-    positions GOOD3[1] or, at n = 2, [0.3, 0.8], and then the uniform 0.9."""
-    def scripted(rng, side, k=0, rejection=0):
+    positions GOOD3[1] or, at n = 2, [0.3, 0.8], and then the uniform 0.9,
+    whether its stream is opened alone or in a block; every other stream is
+    the real one."""
+    def forced(side, k):
         if side == "repeat-time/height" and k in rows:
             second = GOOD3[1] if len(rows[k]) == 3 else [0.3, 0.8]
             return FixedUniforms(rows[k], second, [0.9])
-        return REAL_STREAM(rng, side, k, rejection)
+        return None
+
+    def scripted(rng, side, k=0, rejection=0):
+        return forced(side, k) or REAL_STREAM(rng, side, k, rejection)
+
+    def scripted_block(rng, side, replicates):
+        for k, stream in enumerate(REAL_STREAMS(rng, side, replicates)):
+            yield forced(side, k) or stream
 
     monkeypatch.setattr(verify, "_stream", scripted)
+    monkeypatch.setattr(verify, "_streams", scripted_block)
 
 
 class TestDrawnHeights:

@@ -3,7 +3,9 @@
 Every suite draws from streams named (attempt, side, replicate, rejection)
 off `RngState(seed)`, and runs its builds through `verify._run_checks`:
 a build returns the reports of one attempt, and a failing report is
-replaced by the same report of attempt 1, built at most once.
+replaced by the same report of attempt 1, built at most once.  The seed
+hash behind every stream is held against numpy's `SeedSequence`, one key
+at a time and in blocks.
 """
 
 import zlib
@@ -34,9 +36,10 @@ ATTEMPT0 = RngState(5).child(0)
 
 @pytest.fixture(scope="module")
 def sides():
-    """Side names each suite draws from, in order of first use."""
+    """Side names each suite draws from, in order of first use, whether its
+    streams are opened one at a time or in blocks."""
     out = {}
-    real = verify._stream
+    real, real_block = verify._stream, verify._streams
     with pytest.MonkeyPatch.context() as mp:
         for suite, run in SMALL_RUNS.items():
             seen = {}
@@ -45,7 +48,12 @@ def sides():
                 seen.setdefault(side, None)
                 return real(rng, side, k, rejection)
 
+            def recording_block(rng, side, replicates, seen=seen):
+                seen.setdefault(side, None)
+                return real_block(rng, side, replicates)
+
             mp.setattr(verify, "_stream", recording)
+            mp.setattr(verify, "_streams", recording_block)
             run()
             out[suite] = list(seen)
     return out
@@ -83,6 +91,105 @@ class TestRngState:
     def test_key_entries_outside_32_bits_raise(self, key):
         with pytest.raises(ValueError, match="spawn key"):
             RngState(5).child(*key)
+        with pytest.raises(ValueError, match="spawn key"):
+            RngState(5).children(np.array([key]))
+        with pytest.raises(ValueError, match="spawn key"):
+            RngState(5, key)
+
+    def test_children_need_a_2d_integer_array(self):
+        for keys in (np.arange(3), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="2-d integer array"):
+                RngState(5).children(keys)
+
+
+# Seeds of one to four 32-bit words; with the 0 appended to every entropy,
+# 2**64 + 3 fills the pool and 2**100 runs past it, so neither is padded.
+SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 100]
+EDGE = 2 ** 32 - 1
+
+
+def numpy_generator(seed, key):
+    return np.random.default_rng(np.random.SeedSequence((seed, 0), spawn_key=key))
+
+
+def seed_words(state):
+    return np.asarray(state.gen.bit_generator.seed_seq.words)
+
+
+def assert_same_stream(state, seed, key):
+    """The words, the PCG64 state and the first draws of each kind are
+    numpy's for entropy (seed, 0) and spawn key `key`."""
+    want = np.random.SeedSequence((seed, 0), spawn_key=key).generate_state(4, np.uint64)
+    assert seed_words(state).tobytes() == want.tobytes(), (seed, key)
+    oracle = numpy_generator(seed, key)
+    assert state.gen.bit_generator.state == oracle.bit_generator.state
+    for draw in ("random", "normal", "uniform", "exponential"):
+        a, b = getattr(state.gen, draw)(size=3), getattr(oracle, draw)(size=3)
+        assert a.tobytes() == b.tobytes(), (seed, key, draw)
+
+
+class TestSeedHash:
+    # numpy's SeedSequence is the oracle for every stream
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_key(self, seed):
+        for key in [(), (0,), (EDGE,), (7,), (0, 0, 0, 0), (EDGE,) * 4, (1, EDGE, 0, 2 ** 31)]:
+            state = RngState(seed).child(*key)
+            assert state.spawn_key == key
+            assert_same_stream(state, seed, key)
+        assert_same_stream(RngState(seed), seed, ())
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("size", [1, 2, 511, 512, 513])
+    def test_blocks(self, seed, size):
+        gen = np.random.default_rng(size)
+        for parent, length in (((), 1), ((), 4), ((EDGE,), 3)):
+            keys = gen.integers(0, 2 ** 32, (size, length), dtype=np.uint64)
+            keys[0] = EDGE
+            keys[-1] = 0
+            states = list(RngState(seed, parent).children(keys))
+            assert len(states) == size
+            for i in sorted({0, size // 2, size - 1}):
+                assert states[i].spawn_key == parent + tuple(keys[i].tolist())
+                assert_same_stream(states[i], seed, states[i].spawn_key)
+            want = [np.random.SeedSequence((seed, 0), spawn_key=s.spawn_key).generate_state(
+                4, np.uint64) for s in states]
+            assert np.array_equal([seed_words(s) for s in states], want)
+
+    def test_ten_thousand_keys(self):
+        # replicate keys as the suites name them, one at a time and in a block
+        keys = np.zeros((10_000, 3), dtype=np.uint64)
+        keys[:, 0] = zlib.crc32(b"repeat-time/height")
+        keys[:, 1] = np.arange(10_000)
+        keys[::7, 2] = np.arange(0, 10_000, 7) % 64
+        want = np.array([np.random.SeedSequence((3, 0), spawn_key=(1,) + tuple(row)).generate_state(
+            4, np.uint64) for row in keys.tolist()])
+        block = list(RngState(3).child(1).children(keys))
+        assert np.array_equal([seed_words(s) for s in block], want)
+        single = [RngState(3).child(1, *row) for row in keys[::97].tolist()]
+        assert np.array_equal([seed_words(s) for s in single], want[::97])
+
+    def test_empty_key_columns_and_no_keys(self):
+        assert list(RngState(5).children(np.zeros((0, 3), dtype=np.uint64))) == []
+        (state,) = RngState(5, (2,)).children(np.zeros((1, 0), dtype=np.uint64))
+        assert_same_stream(state, 5, (2,))
+
+    def test_negative_seed_raises_as_numpy_does(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence((-1, 0))
+        with pytest.raises(ValueError, match="non-negative"):
+            RngState(-1)
+
+
+class TestBlockStreams:
+    @pytest.mark.parametrize("replicates", [0, 1, 2, verify.STREAM_BLOCK - 1,
+                                            verify.STREAM_BLOCK, verify.STREAM_BLOCK + 1])
+    def test_blocks_are_the_single_streams(self, replicates):
+        streams = list(verify._streams(ATTEMPT0, "repeat-time/height", replicates))
+        assert len(streams) == replicates
+        for k in sorted({0, replicates // 2, replicates - 1} & set(range(replicates))):
+            single = verify._stream(ATTEMPT0, "repeat-time/height", k)
+            assert streams[k].spawn_key == single.spawn_key
+            assert streams[k].gen.random(4).tobytes() == single.gen.random(4).tobytes()
 
 
 class TestStreamsNeverCollide:
